@@ -1,10 +1,11 @@
-(* Hot-path ablation: batched Delta/Gamma inserts
-   ([Config.put_batching]) and adaptive all-minimums granularity
-   ([Config.grain = Auto_grain]) — measured on a synthetic PvWatts-shaped
+(* Hot-path ablation: firing grain ([Config.grain], adaptive chunks vs
+   the §5.2 one task per (tuple, rule)) plus the continuous profiler and
+   the diagnostics plane — measured on a synthetic PvWatts-shaped
    pipeline that is all puts, dedup probes and store inserts, i.e. the
-   paths those knobs touch.  (The specialized-comparator knob this bench
-   once priced is retired: schema-compiled comparators are now the only
-   path, so its win is baked into every row below.)
+   paths the grain touches.  (The put-batching, batch-fire and
+   specialized-comparator knobs this bench once priced are retired:
+   chunked firing into per-unit arenas and schema-compiled comparators
+   are now the only path, so their wins are baked into every row.)
 
    Shape (one table per lifecycle stage, §3 / Fig 3):
      Req(r)            one class of R requests; each generator puts its
@@ -22,9 +23,9 @@
      Sum(g, b)         skiplist Gamma + output table: the emitted lines
                        double as a cross-configuration determinism check.
 
-   Reports per-configuration wall time and throughput, the all-on vs
-   all-off ratio, and writes the same numbers as machine-readable JSON
-   (stdout + BENCH_hotpath.json). *)
+   Reports per-configuration wall time and throughput, the Auto_grain
+   vs Fixed 1 ratio, and writes the same numbers as machine-readable
+   JSON (stdout + BENCH_hotpath.json). *)
 
 open Jstar_core
 
@@ -120,9 +121,7 @@ let build ?(prov_optout = false) () =
 
 type knobs = {
   label : string;
-  batching : bool;
   auto_grain : bool;
-  batch : bool; (* Config.batch_fire: vectorized Phase B *)
   profile : bool; (* continuous profiler (on by default in parallel configs) *)
   diag : bool; (* threshold alerts evaluated at every step barrier *)
 }
@@ -132,8 +131,6 @@ let config_of k =
     {
       (Config.parallel ~threads:2 ()) with
       Config.stores = [ ("Row", Store.Hash_index 1) ];
-      put_batching = k.batching;
-      batch_fire = k.batch;
       (* The query-acceleration knobs are off: this workload never
          queries, so they'd only add barrier noise to the ablation.  The
          profiler is priced by its own row, so the knob rows switch it
@@ -181,24 +178,14 @@ let config_of k =
 
 let configurations =
   [
-    { label = "all-off"; batching = false; auto_grain = false; batch = false;
-      profile = false; diag = false };
-    { label = "put-batching"; batching = true; auto_grain = false;
-      batch = false; profile = false; diag = false };
-    { label = "auto-grain"; batching = false; auto_grain = true;
-      batch = false; profile = false; diag = false };
-    { label = "batch-fire"; batching = false; auto_grain = false;
-      batch = true; profile = false; diag = false };
-    { label = "all-on"; batching = true; auto_grain = true; batch = true;
-      profile = false; diag = false };
-    (* all-on plus the continuous profiler: the overhead row backing the
-       "profiling is cheap enough to leave on" claim. *)
-    { label = "profiler"; batching = true; auto_grain = true; batch = true;
-      profile = true; diag = false };
+    { label = "fixed-grain"; auto_grain = false; profile = false; diag = false };
+    { label = "auto-grain"; auto_grain = true; profile = false; diag = false };
+    (* auto-grain plus the continuous profiler: the overhead row backing
+       the "profiling is cheap enough to leave on" claim. *)
+    { label = "profiler"; auto_grain = true; profile = true; diag = false };
     (* profiler plus per-barrier alert evaluation and an armed flight
        recorder: the "black box costs nothing you can measure" row. *)
-    { label = "diagnostics"; batching = true; auto_grain = true; batch = true;
-      profile = true; diag = true };
+    { label = "diagnostics"; auto_grain = true; profile = true; diag = true };
   ]
 
 let rounds = 4
@@ -260,8 +247,8 @@ let run () =
     let _, t, _ = List.find (fun (k, _, _) -> k.label = label) rows in
     t
   in
-  let ratio = t_of "all-off" /. t_of "all-on" in
-  let profiler_overhead = (t_of "profiler" /. t_of "all-on") -. 1.0 in
+  let ratio = t_of "fixed-grain" /. t_of "auto-grain" in
+  let profiler_overhead = (t_of "profiler" /. t_of "auto-grain") -. 1.0 in
   let diag_overhead = (t_of "diagnostics" /. t_of "profiler") -. 1.0 in
   Util.heading
     (Printf.sprintf "Hot-path ablation (%d rows, %d groups, 2 threads)"
@@ -269,8 +256,8 @@ let run () =
   Util.bar_chart
     ~title:"wall time per knob combination" ~unit:"s"
     (List.map (fun (k, t, _) -> (k.label, t)) rows);
-  Util.note "all-on vs all-off: %.2fx throughput" ratio;
-  Util.note "continuous profiler overhead vs all-on: %+.1f%%"
+  Util.note "Auto_grain vs Fixed 1: %.2fx throughput" ratio;
+  Util.note "continuous profiler overhead vs auto-grain: %+.1f%%"
     (100.0 *. profiler_overhead);
   Util.note "alerts + recorder overhead vs profiler: %+.1f%%"
     (100.0 *. diag_overhead);
@@ -284,9 +271,9 @@ let run () =
     Buffer.add_string b
       (Printf.sprintf "  \"groups\": %d,\n  \"threads\": 2,\n" groups);
     Buffer.add_string b
-      (Printf.sprintf "  \"speedup_all_on_vs_all_off\": %.4f,\n" ratio);
+      (Printf.sprintf "  \"speedup_auto_vs_fixed_grain\": %.4f,\n" ratio);
     Buffer.add_string b
-      (Printf.sprintf "  \"profiler_overhead_vs_all_on\": %.4f,\n"
+      (Printf.sprintf "  \"profiler_overhead_vs_auto_grain\": %.4f,\n"
          profiler_overhead);
     Buffer.add_string b
       (Printf.sprintf "  \"diagnostics_overhead_vs_profiler\": %.4f,\n"
@@ -296,11 +283,10 @@ let run () =
       (fun i (k, t, thr) ->
         Buffer.add_string b
           (Printf.sprintf
-             "    {\"label\": \"%s\", \"put_batching\": %b, \
-              \"auto_grain\": %b, \"batch_fire\": %b, \"profile\": %b, \
-              \"diagnostics\": %b, \"seconds\": %.6f, \
+             "    {\"label\": \"%s\", \"auto_grain\": %b, \
+              \"profile\": %b, \"diagnostics\": %b, \"seconds\": %.6f, \
               \"tuples_per_second\": %.1f}%s\n"
-             k.label k.batching k.auto_grain k.batch k.profile k.diag t thr
+             k.label k.auto_grain k.profile k.diag t thr
              (if i = List.length rows - 1 then "" else ",")))
       rows;
     Buffer.add_string b "  ]\n}\n";

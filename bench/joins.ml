@@ -1,6 +1,6 @@
-(* Batched rule firing on a join-heavy workload: transitive closure
-   over a layered-cluster graph, the relational-algebra shape
-   [Config.batch_fire] vectorizes.
+(* Chunked rule firing on a join-heavy workload: transitive closure
+   over a layered-cluster graph, the relational-algebra shape Phase B
+   fires as (rule, table) chunks.
 
    Graph: C disjoint clusters, each d layers of m nodes with complete
    bipartite edges between adjacent layers — m^2 * (d-1) edges per
@@ -9,13 +9,14 @@
    wide class): wave k joins every Path(x, y) against Edge(y, z) via a
    hash-indexed prefix probe on y.  The fan-in of the cluster shape
    makes most derived puts duplicates, so the workload prices exactly
-   what batching touches: probe locality (the sorted chunk turns runs
-   of equal-y probes into one cursor hit), Gamma dedup prechecks, and
-   scratch-arena put sinking.
+   what chunk width touches: probe locality (the sorted chunk turns
+   runs of equal-y probes into one cursor hit), Gamma dedup prechecks,
+   and scratch-arena put sinking.
 
-   Reports per-tuple vs batched wall time at 4 threads, asserts the
-   determinism digests are byte-identical between the two modes, and
-   writes BENCH_joins.json. *)
+   Reports wall time at 4 threads for both ends of the grain range —
+   [Auto_grain] chunks and the §5.2 [Fixed 1] one task per (tuple,
+   rule) — asserts the determinism digests are byte-identical between
+   them, and writes BENCH_joins.json. *)
 
 open Jstar_core
 
@@ -75,13 +76,12 @@ let build () =
   done;
   (p, edge, path, !init)
 
-let config_of ~batched =
+let config_of ~auto =
   {
     (Config.parallel ~threads ()) with
     Config.stores =
       [ ("Edge", Store.Hash_index 1); ("Path", Store.Hash_index 2) ];
-    batch_fire = batched;
-    put_batching = batched;
+    grain = (if auto then Config.Auto_grain else Config.Fixed 1);
     (* acceleration knobs that are orthogonal to the comparison *)
     agg_cache = false;
     advisor = None;
@@ -98,51 +98,51 @@ let run () =
   let n_edges = c * width * width * (layers - 1) in
   Util.heading
     (Printf.sprintf
-       "Batched joins: transitive closure, %d edges (%d clusters), %d threads"
+       "Chunked joins: transitive closure, %d edges (%d clusters), %d threads"
        n_edges c threads);
-  let run_once ~batched =
+  let run_once ~auto =
     let p, _edge, _path, init = build () in
     let t0 = Unix.gettimeofday () in
-    let r = Engine.run_program ~init p (config_of ~batched) in
+    let r = Engine.run_program ~init p (config_of ~auto) in
     let t = Unix.gettimeofday () -. t0 in
     (match Sys.getenv_opt "JOINS_DEBUG" with
     | Some _ ->
         Printf.printf
-          "DEBUG batched=%b: tuples=%d steps=%d dins=%d ddup=%d \
+          "DEBUG auto_grain=%b: tuples=%d steps=%d dins=%d ddup=%d \
            extract=%.3f gamma=%.3f rules=%.3f t=%.3f\n%!"
-          batched r.Engine.tuples_processed r.Engine.steps
+          auto r.Engine.tuples_processed r.Engine.steps
           r.Engine.delta_inserted r.Engine.delta_deduped
           r.Engine.phases.Engine.t_extract r.Engine.phases.Engine.t_gamma
           r.Engine.phases.Engine.t_rules t
     | None -> ());
     (r, t)
   in
-  (* Warmup pass + the acceptance check: both modes must produce
+  (* Warmup pass + the acceptance check: both grains must produce
      byte-identical determinism digests. *)
   let digest3 r =
     match r.Engine.digest with
     | Some d -> (d.Engine.d_gamma, d.Engine.d_classes, d.Engine.d_tables)
     | None -> failwith "joins: digest missing"
   in
-  let r_ref, t_ref = run_once ~batched:false in
-  let r_batched, t_b = run_once ~batched:true in
-  if digest3 r_ref <> digest3 r_batched then
-    failwith "joins: batched and per-tuple digests diverge";
-  Util.note "digests identical across modes (%d tuples, %d steps)"
+  let r_ref, t_ref = run_once ~auto:false in
+  let r_auto, t_a = run_once ~auto:true in
+  if digest3 r_ref <> digest3 r_auto then
+    failwith "joins: Auto_grain and Fixed 1 digests diverge";
+  Util.note "digests identical across grains (%d tuples, %d steps)"
     r_ref.Engine.tuples_processed r_ref.Engine.steps;
   (* Interleaved best-of-N rounds; the digest pass above is a full
-     identical run of each mode, so its times join the pool. *)
-  let best_per_tuple = ref t_ref and best_batched = ref t_b in
+     identical run of each grain, so its times join the pool. *)
+  let best_fixed = ref t_ref and best_auto = ref t_a in
   for _ = 1 to rounds () do
-    let _, t = run_once ~batched:false in
-    if t < !best_per_tuple then best_per_tuple := t;
-    let _, t = run_once ~batched:true in
-    if t < !best_batched then best_batched := t
+    let _, t = run_once ~auto:false in
+    if t < !best_fixed then best_fixed := t;
+    let _, t = run_once ~auto:true in
+    if t < !best_auto then best_auto := t
   done;
-  let ratio = !best_per_tuple /. !best_batched in
-  Util.bar_chart ~title:"wall time per firing mode" ~unit:"s"
-    [ ("per-tuple", !best_per_tuple); ("batched", !best_batched) ];
-  Util.note "batched vs per-tuple: %.2fx" ratio;
+  let ratio = !best_fixed /. !best_auto in
+  Util.bar_chart ~title:"wall time per grain" ~unit:"s"
+    [ ("Fixed 1", !best_fixed); ("Auto_grain", !best_auto) ];
+  Util.note "Auto_grain vs Fixed 1: %.2fx" ratio;
   let json =
     let b = Buffer.create 512 in
     Buffer.add_string b "{\n";
@@ -160,11 +160,11 @@ let run () =
     Buffer.add_string b
       (Printf.sprintf "  \"digests_identical\": true,\n");
     Buffer.add_string b
-      (Printf.sprintf "  \"per_tuple_seconds\": %.6f,\n" !best_per_tuple);
+      (Printf.sprintf "  \"fixed_grain_seconds\": %.6f,\n" !best_fixed);
     Buffer.add_string b
-      (Printf.sprintf "  \"batched_seconds\": %.6f,\n" !best_batched);
+      (Printf.sprintf "  \"auto_grain_seconds\": %.6f,\n" !best_auto);
     Buffer.add_string b
-      (Printf.sprintf "  \"speedup_batched_vs_per_tuple\": %.4f\n" ratio);
+      (Printf.sprintf "  \"speedup_auto_vs_fixed_grain\": %.4f\n" ratio);
     Buffer.add_string b "}\n";
     Buffer.contents b
   in

@@ -61,8 +61,6 @@ let config_of ~shards ~threads =
   {
     base with
     Config.shards;
-    batch_fire = true;
-    put_batching = true;
     agg_cache = false;
     advisor = None;
     digest = true;

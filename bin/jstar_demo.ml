@@ -53,10 +53,6 @@ let metrics_out =
   Arg.(
     value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-let causality_check =
-  let doc = "Assert the law of causality dynamically at every put." in
-  Arg.(value & flag & info [ "check-causality" ] ~doc)
-
 let audit =
   let doc =
     "Audit the law of causality dynamically: besides the put-side check, \
@@ -81,10 +77,6 @@ let trace_sample =
      kind and domain (1 = record everything)."
   in
   Arg.(value & opt int 1 & info [ "trace-sample" ] ~docv:"N" ~doc)
-
-let task_per_rule =
-  let doc = "One task per (tuple, rule) pair instead of per tuple (§5.2)." in
-  Arg.(value & flag & info [ "task-per-rule" ] ~doc)
 
 let show_stats =
   let doc = "Print per-table usage statistics after the run." in
@@ -139,7 +131,7 @@ let flush_metrics_csv path metrics =
   Sys.rename tmp path
 
 let apply_common ?(shards = 0) ?alert_hook config ~tracing ~trace_out
-    ~metrics_out ~causality_check ~task_per_rule ~audit ~digest ~trace_sample
+    ~metrics_out ~audit ~digest ~trace_sample
     ~profile ~metrics_every =
   let metrics_hook =
     match (metrics_out, metrics_every) with
@@ -165,8 +157,6 @@ let apply_common ?(shards = 0) ?alert_hook config ~tracing ~trace_out
     config with
     Config.tracing =
       effective_tracing tracing ~trace_out ~metrics_out ~metrics_every;
-    runtime_causality_check = causality_check;
-    task_per_rule;
     audit_causality = audit;
     digest;
     trace_sample;
@@ -375,8 +365,8 @@ let pvwatts_cmd =
   in
   let run installations threads naive store sorted chunks disruptor consumers
       dot explain explain_json explain_dot explain_depth explain_width tracing
-      trace_out metrics_out causality_check task_per_rule audit digest
-      trace_sample profile metrics_every shards show_stats =
+      trace_out metrics_out audit digest trace_sample profile metrics_every
+      shards show_stats =
     tune_runtime ();
     let ordering =
       if sorted then Jstar_csv.Pvwatts_data.Round_robin
@@ -409,8 +399,8 @@ let pvwatts_cmd =
           Fmt.pr "dependency graph -> %s@." path
       | None -> ());
       let config =
-        apply_common ~shards ~tracing ~trace_out ~metrics_out ~causality_check
-          ~task_per_rule ~audit ~digest ~trace_sample ~profile ~metrics_every
+        apply_common ~shards ~tracing ~trace_out ~metrics_out ~audit ~digest
+          ~trace_sample ~profile ~metrics_every
           (Jstar_apps.Pvwatts.config ~threads ~no_delta:(not naive) ~store ())
       in
       let config =
@@ -435,8 +425,8 @@ let pvwatts_cmd =
       const run $ installations $ threads $ naive $ store $ sorted $ chunks
       $ disruptor $ consumers $ dot $ explain $ explain_json $ explain_dot
       $ explain_depth $ explain_width $ tracing $ trace_out $ metrics_out
-      $ causality_check $ task_per_rule $ audit $ digest $ trace_sample
-      $ profile_flag $ metrics_every $ shards_opt $ show_stats)
+      $ audit $ digest $ trace_sample $ profile_flag $ metrics_every
+      $ shards_opt $ show_stats)
 
 (* -- matmul ----------------------------------------------------------- *)
 
@@ -452,12 +442,8 @@ let matmul_cmd =
   let verify =
     Arg.(value & flag & info [ "verify" ] ~doc:"Check against the naive baseline.")
   in
-  let run n threads boxed verify tracing causality_check task_per_rule
-      show_stats =
+  let run n threads boxed verify show_stats =
     tune_runtime ();
-    (* Matmul builds its config internally; observability options don't
-       apply here. *)
-    ignore (tracing, causality_check, task_per_rule);
     let variant = if boxed then Jstar_apps.Matmul.Boxed else Jstar_apps.Matmul.Unboxed in
     let t0 = Unix.gettimeofday () in
     let result, get = Jstar_apps.Matmul.run ~n ~variant ~threads () in
@@ -485,8 +471,7 @@ let matmul_cmd =
   Cmd.v
     (Cmd.info "matmul" ~doc:"Naive matrix multiplication (§6.4).")
     Term.(
-      const run $ n $ threads $ boxed $ verify $ tracing $ causality_check
-      $ task_per_rule $ show_stats)
+      const run $ n $ threads $ boxed $ verify $ show_stats)
 
 (* -- dijkstra ---------------------------------------------------------- *)
 
@@ -502,10 +487,8 @@ let dijkstra_cmd =
   let verify =
     Arg.(value & flag & info [ "verify" ] ~doc:"Check against the binary-heap baseline.")
   in
-  let run vertices threads tasks verify tracing causality_check task_per_rule
-      show_stats =
+  let run vertices threads tasks verify show_stats =
     tune_runtime ();
-    ignore (tracing, causality_check, task_per_rule);
     let result, app = Jstar_apps.Shortest_path.run ~tasks ~vertices ~threads () in
     Fmt.pr "reached %d of %d vertices@."
       (app.Jstar_apps.Shortest_path.reached_count ())
@@ -532,8 +515,7 @@ let dijkstra_cmd =
   Cmd.v
     (Cmd.info "dijkstra" ~doc:"Single-source shortest paths (§6.5, Fig 5).")
     Term.(
-      const run $ vertices $ threads $ tasks $ verify $ tracing
-      $ causality_check $ task_per_rule $ show_stats)
+      const run $ vertices $ threads $ tasks $ verify $ show_stats)
 
 (* -- median ------------------------------------------------------------ *)
 
@@ -546,28 +528,26 @@ let median_cmd =
     Arg.(value & opt int 8 & info [ "regions" ] ~docv:"N"
            ~doc:"Parallel partition regions per round.")
   in
-  let run n threads regions tracing causality_check task_per_rule show_stats =
+  let run n threads regions show_stats =
     tune_runtime ();
-    ignore (tracing, causality_check, task_per_rule);
     let result = Jstar_apps.Median.run ~regions ~n ~threads () in
     report result show_stats
   in
   Cmd.v
     (Cmd.info "median" ~doc:"Median of N random doubles (§6.6).")
     Term.(
-      const run $ n $ threads $ regions $ tracing $ causality_check
-      $ task_per_rule $ show_stats)
+      const run $ n $ threads $ regions $ show_stats)
 
 (* -- ship -------------------------------------------------------------- *)
 
 let ship_cmd =
-  let run threads tracing trace_out metrics_out causality_check task_per_rule
-      audit digest trace_sample profile metrics_every show_stats =
+  let run threads tracing trace_out metrics_out audit digest trace_sample
+      profile metrics_every show_stats =
     tune_runtime ();
     let app = Jstar_apps.Spaceinvaders.make () in
     let config =
-      apply_common ~tracing ~trace_out ~metrics_out ~causality_check
-        ~task_per_rule ~audit ~digest ~trace_sample ~profile ~metrics_every
+      apply_common ~tracing ~trace_out ~metrics_out ~audit ~digest
+        ~trace_sample ~profile ~metrics_every
         { Config.default with threads }
     in
     report ?trace_out ?metrics_out
@@ -579,8 +559,8 @@ let ship_cmd =
     (Cmd.info "ship" ~doc:"The Space Invaders Ship example of §3 (Fig 2).")
     Term.(
       const run $ threads $ tracing $ trace_out $ metrics_out
-      $ causality_check $ task_per_rule $ audit $ digest $ trace_sample
-      $ profile_flag $ metrics_every $ show_stats)
+      $ audit $ digest $ trace_sample $ profile_flag $ metrics_every
+      $ show_stats)
 
 (* -- stream ------------------------------------------------------------ *)
 
@@ -679,9 +659,8 @@ let stream_cmd =
                  convention.")
   in
   let run ticks sensors persist checkpoint_every fsync crash_after ops_port
-      flight_dir alert_specs threads tracing trace_out metrics_out
-      causality_check task_per_rule audit digest trace_sample profile
-      metrics_every shards show_stats =
+      flight_dir alert_specs threads tracing trace_out metrics_out audit
+      digest trace_sample profile metrics_every shards show_stats =
     tune_runtime ();
     let alerts =
       match alert_specs with
@@ -733,7 +712,7 @@ let stream_cmd =
     let frozen = Program.freeze p in
     let config =
       apply_common ~shards ?alert_hook ~tracing ~trace_out ~metrics_out
-        ~causality_check ~task_per_rule ~audit ~digest ~trace_sample
+        ~audit ~digest ~trace_sample
         ~profile:(profile || ops_port <> None)
         ~metrics_every
         { Config.default with Config.threads }
@@ -893,8 +872,7 @@ let stream_cmd =
     Term.(
       const run $ ticks $ sensors $ persist $ checkpoint_every $ fsync
       $ crash_after $ ops_port $ flight_dir $ alert_specs $ threads $ tracing
-      $ trace_out $ metrics_out
-      $ causality_check $ task_per_rule $ audit $ digest $ trace_sample
+      $ trace_out $ metrics_out $ audit $ digest $ trace_sample
       $ profile_flag $ metrics_every $ shards_opt $ show_stats)
 
 (* -- check ------------------------------------------------------------- *)

@@ -9,8 +9,10 @@ type data_structures =
   | Concurrent_ds (* skip list / sharded hash family *)
 
 type grain =
-  | Auto_grain (* max 1 (n / (4 * workers)): chunked leaves, adaptive *)
-  | Fixed of int (* fixed fork/join leaf size; [Fixed 1] = task per tuple *)
+  | Auto_grain (* max 1 (n / (2 * workers)): chunked leaves, adaptive *)
+  | Fixed of int
+      (* fixed fork/join leaf size; [Fixed 1] = one task per (tuple,
+         rule), the §5.2 strategy *)
 
 type advisor = {
   adv_warmup : int;
@@ -45,22 +47,9 @@ type t = {
       (* -noGamma T: never store T tuples in Gamma (§5.1). *)
   stores : (string * Store.kind_spec) list;
       (* per-table Gamma store overrides *)
-  grain : grain; (* fork/join leaf granularity at engine call sites *)
-  put_batching : bool;
-      (* buffer parallel-phase puts per domain and flush them through
-         Delta.insert_batch / Store.insert_batch at the phase barriers *)
-  batch_fire : bool;
-      (* vectorized Phase B: group the class by (rule, table), sort each
-         chunk by the rule's declared join key, probe Gamma through a
-         batched hash-join cursor, and sink puts into per-task scratch
-         arenas flushed straight through Delta.insert_batch — one
-         amortized firing pipeline instead of one closure round-trip per
-         tuple.  Within-class firing order is free under the law of
-         causality, so digests/lineage/outputs are unchanged *)
-  specialized_compare : bool;
-      (* no-op, kept so existing configs build: the generic-comparator
-         path it used to toggle is retired and the schema-compiled
-         comparators + cached-hash dedup tables are the only path *)
+  grain : grain;
+      (* triggers per Phase-B firing chunk and iterations per [par_iter]
+         leaf under a pool *)
   indexes : (string * int list) list;
       (* declared secondary indexes: table name -> prefix lengths,
          maintained at the Phase-A barrier (Store.indexed) *)
@@ -71,12 +60,6 @@ type t = {
       (* adaptive store advisor: watch per-prefix-length query
          histograms and promote hot scan patterns to secondary indexes
          mid-run *)
-  task_per_rule : bool;
-      (* §5.2: "Even if a tuple triggers more than one rule, we create
-         only one task for that tuple - we could create one task per
-         rule that is triggered."  This flag enables the latter. *)
-  runtime_causality_check : bool;
-      (* assert at every put that the new tuple is not in the past *)
   max_steps : int option; (* safety valve for runaway programs *)
   print_directly : bool;
       (* bypass deterministic output collection (debugging only) *)
@@ -99,8 +82,9 @@ type t = {
          (positive <= T, negative/aggregate < T) and puts (>= T)
          against the trigger's timestamp — the dynamic check that
          catches unsound Custom stores and hand-written rules the
-         static pass can't see.  Implies the per-put check of
-         runtime_causality_check and extends it to reads *)
+         static pass can't see.  Puts outside any firing (a feed from
+         a step hook) are checked against the class the running drain
+         executed last *)
   digest : bool;
       (* cross-run determinism digests: order-independent 128-bit
          hashes of final Gamma contents and of the per-step class
@@ -138,14 +122,9 @@ let default =
     no_gamma = [];
     stores = [];
     grain = Auto_grain;
-    put_batching = false;
-    batch_fire = false;
-    specialized_compare = true;
     indexes = [];
     agg_cache = false;
     advisor = None;
-    task_per_rule = false;
-    runtime_causality_check = false;
     max_steps = None;
     print_directly = false;
     tracing = Jstar_obs.Level.Off;
@@ -168,8 +147,6 @@ let parallel ?(threads = 4) () =
   {
     default with
     threads;
-    put_batching = true;
-    batch_fire = true;
     agg_cache = true;
     advisor = Some advisor_default;
     profile = true;
@@ -216,10 +193,10 @@ let validate t =
   if t.trace_sample < 1 then raise (Invalid "trace_sample must be >= 1");
   if t.shards < 0 then raise (Invalid "shards must be >= 0")
 
-(* The adaptive all-minimums granularity: coarse enough that fork/join
-   overhead amortises, fine enough (4 leaves per worker) that stealing
-   can still balance uneven leaf costs. *)
+(* The engine's one grain formula.  Adaptive: coarse enough that each
+   chunk amortises its fixed costs (arena, frame, fork), fine enough (2
+   leaves per worker) that stealing can still balance skewed rules. *)
 let resolve_grain t ~workers ~n =
   match t.grain with
   | Fixed g -> max 1 g
-  | Auto_grain -> max 1 (n / (4 * max 1 workers))
+  | Auto_grain -> max 1 (n / (2 * max 1 workers))

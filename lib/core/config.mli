@@ -8,9 +8,11 @@ type data_structures =
 
 type grain =
   | Auto_grain
-      (** adaptive: [max 1 (n / (4 * workers))] per leaf — the "chunked
+      (** adaptive: [max 1 (n / (2 * workers))] per leaf — the "chunked
           leaves" strategy *)
-  | Fixed of int  (** fixed leaf size; [Fixed 1] is one task per tuple *)
+  | Fixed of int
+      (** fixed leaf size; [Fixed 1] is one task per (tuple, rule), the
+          §5.2 strategy *)
 
 type advisor = {
   adv_warmup : int;
@@ -41,25 +43,12 @@ type t = {
       (** [-noGamma T]: never store T (trigger-only tables, §5.1) *)
   stores : (string * Store.kind_spec) list;
       (** per-table Gamma store overrides *)
-  grain : grain;  (** fork/join leaf granularity at engine call sites *)
-  put_batching : bool;
-      (** buffer parallel-phase puts per domain, flushing them through
-          [Delta.insert_batch] / [Store.insert_batch] at the phase
-          barriers that already define class visibility *)
-  batch_fire : bool;
-      (** vectorized Phase B: fire each minimal class as batched
-          relational-algebra operations — group by (rule, table), sort
-          each chunk by the rule's declared join key ({!Spec.read}
-          [?prefix]), probe Gamma through a batched hash-join cursor,
-          and flush puts from per-task scratch arenas straight through
-          [Delta.insert_batch].  Firing order within a class is
-          unconstrained by the law of causality, so determinism digests,
-          lineage and outputs are bit-identical to the per-tuple path *)
-  specialized_compare : bool;
-      (** No-op, kept for config compatibility: the generic-comparator
-          path it used to toggle was retired (the schema-compiled
-          comparators and cached-hash dedup tables are now the only
-          path — see EXPERIMENTS.md "Hot-path ablation"). *)
+  grain : grain;
+      (** fork/join granularity under a pool: triggers per Phase-B
+          firing chunk (each (rule, table) run of a class is split into
+          chunks, each sorted by the rule's declared join key and fired
+          as one unit of work) and iterations per [par_iter] leaf.
+          Without a pool each run fires as one chunk *)
   indexes : (string * int list) list;
       (** declared secondary indexes (table name, prefix lengths),
           built empty at engine start and maintained at the Phase-A
@@ -73,10 +62,6 @@ type t = {
           histograms and promotes hot scan patterns to secondary
           indexes mid-run, reporting through metrics and the
           [advisor-promote] span kind *)
-  task_per_rule : bool;
-      (** one task per (tuple, rule) pair instead of per tuple (§5.2) *)
-  runtime_causality_check : bool;
-      (** assert at every put that the tuple is not in the past *)
   max_steps : int option;  (** abort runaway programs *)
   print_directly : bool;  (** bypass deterministic output collection *)
   tracing : Jstar_obs.Level.t;
@@ -102,8 +87,11 @@ type t = {
           dynamically — positive queries at timestamps [<= T],
           negative/aggregate strictly [< T], puts [>= T], where [T] is
           the trigger's timestamp — catching unsound [Custom] stores
-          and hand-written rules the static checker cannot see.
-          Violations raise [Engine.Causality_violation] *)
+          and hand-written rules the static checker cannot see.  Puts
+          outside any firing (a feed from a step hook) are checked
+          against the class the running drain executed last; a drain
+          that reaches quiescence ends that run.  Violations raise
+          [Engine.Causality_violation] *)
   digest : bool;
       (** compute order-independent 128-bit digests of the final Gamma
           contents (per table and overall) and of the per-step class
@@ -143,8 +131,8 @@ val sequential : t
 (** Alias of {!default} — the [-sequential] compiler flag. *)
 
 val parallel : ?threads:int -> unit -> t
-(** Parallel defaults ([threads] defaults to 4): put batching, the
-    aggregate cache, the store advisor and the continuous profiler on —
+(** Parallel defaults ([threads] defaults to 4): the aggregate cache,
+    the store advisor and the continuous profiler on —
     the knobs EXPERIMENTS.md showed strictly helping (or costing ≤ 3%
     on) multi-threaded runs.  {!default} keeps them off so ablation
     baselines remain reachable. *)
@@ -162,5 +150,6 @@ val validate : t -> unit
     [shards < 0]). *)
 
 val resolve_grain : t -> workers:int -> n:int -> int
-(** The fork/join leaf size for an [n]-iteration loop on [workers]
-    workers under this configuration's {!field-grain}. *)
+(** The fork/join leaf size for [n] items on [workers] workers under
+    this configuration's {!field-grain} — the engine's one grain
+    formula, for firing chunks and [par_iter] leaves alike. *)

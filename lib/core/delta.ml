@@ -38,12 +38,12 @@ let fold_clear tb acc =
 
 type leaf = {
   l_add : Tuple.t -> bool;
-  l_add_many : Tuple.t array -> int list -> (int -> unit) -> int;
-      (* Batch entry point: the caller's tuple array plus the positions
-         of this run, in input order.  Marks the position of each tuple
-         actually inserted (the first occurrence of an in-batch
-         duplicate wins) and returns the number inserted.  Takes each
-         shard lock at most once. *)
+  l_add_many : Tuple.t array -> int -> int -> (int -> unit) -> int;
+      (* Batch entry point: the caller's tuple array and the run
+         [lo, hi) of it to add, in input order.  Marks the position of
+         each tuple actually inserted (the first occurrence of an
+         in-batch duplicate wins) and returns the number inserted.
+         Takes each shard lock at most once. *)
   l_pop_all : unit -> Tuple.t list;
   l_is_empty : unit -> bool;
 }
@@ -53,15 +53,14 @@ let sequential_leaf () =
   {
     l_add = (fun t -> Tuple.Dset.add_if_absent table t);
     l_add_many =
-      (fun tuples run mark ->
+      (fun tuples lo hi mark ->
         let added = ref 0 in
-        List.iter
-          (fun p ->
-            if Tuple.Dset.add_if_absent table tuples.(p) then begin
-              mark p;
-              incr added
-            end)
-          run;
+        for p = lo to hi - 1 do
+          if Tuple.Dset.add_if_absent table tuples.(p) then begin
+            mark p;
+            incr added
+          end
+        done;
         !added);
     l_pop_all = (fun () -> fold_clear table []);
     l_is_empty = (fun () -> Tuple.Dset.length table = 0);
@@ -90,17 +89,15 @@ let concurrent_leaf () =
         if added then Atomic.incr count;
         added);
     l_add_many =
-      (fun tuples run mark ->
+      (fun tuples lo hi mark ->
         (* Partition by shard, then take each shard's lock exactly once.
-           Prepending while walking forward reverses each bucket, so
-           reverse back before inserting: the first in-batch duplicate
-           must stay first. *)
+           Prepending while walking backward keeps each bucket in input
+           order: the first in-batch duplicate must stay first. *)
         let buckets = Array.make leaf_shards [] in
-        List.iter
-          (fun p ->
-            let s = Tuple.hash tuples.(p) land (leaf_shards - 1) in
-            buckets.(s) <- p :: buckets.(s))
-          run;
+        for p = hi - 1 downto lo do
+          let s = Tuple.hash tuples.(p) land (leaf_shards - 1) in
+          buckets.(s) <- p :: buckets.(s)
+        done;
         let added = ref 0 in
         Array.iteri
           (fun s entries ->
@@ -113,7 +110,7 @@ let concurrent_leaf () =
                     mark p;
                     incr added
                   end)
-                (List.rev entries);
+                entries;
               Mutex.unlock mutex
             end)
           buckets;
@@ -425,77 +422,53 @@ let node_path t (ts : Timestamp.t) =
   done;
   path
 
+(* Same tree path: structural equality of timestamps, [par] values
+   included — [par] components with different values live in different
+   subtrees. *)
+let same_path (a : Timestamp.t) (b : Timestamp.t) =
+  a == b
+  || Array.length a = Array.length b
+     &&
+     let rec go i =
+       i = Array.length a
+       || (match (a.(i), b.(i)) with
+          | Timestamp.CLit (r, _), Timestamp.CLit (r', _) -> r = r'
+          | Timestamp.CSeq v, Timestamp.CSeq v'
+          | Timestamp.CPar v, Timestamp.CPar v' ->
+              Value.equal v v'
+          | _ -> false)
+         && go (i + 1)
+     in
+     go 0
+
 let insert_batch t (tuples : Tuple.t array) (tss : Timestamp.t array) n =
   let res = Array.make (max n 0) false in
-  if n > 0 then begin
-    (* Same-timestamp fast path: literal-only orderbys memoise one
-       timestamp array per table (engine [const_ts]), so a batch from
-       one such table carries the *same* array in every slot.  Physical
-       equality proves structural equality, and the whole batch is one
-       leaf run — skip the grouping table entirely. *)
-    let ts0 = tss.(0) in
-    let uniform = ref true in
-    (try
-       for i = 1 to n - 1 do
-         if not (tss.(i) == ts0) then begin
-           uniform := false;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !uniform then begin
-      let run = List.init n Fun.id in
-      let path = node_path t ts0 in
-      let leaf_node = path.(Array.length path - 1) in
-      let added =
-        leaf_node.leaf.l_add_many tuples run (fun p -> res.(p) <- true)
-      in
-      if added > 0 then
-        Array.iter
-          (fun nd -> ignore (Atomic.fetch_and_add nd.count added))
-          path;
-      stripe_add t.inserted added;
-      stripe_add t.deduped (n - added)
-    end
-    else begin
-    (* Group by timestamp: structural equality of timestamps IS tree-path
-       identity ([par] components with different values live in different
-       subtrees), so one hash-table pass — O(n), no comparator sort —
-       yields the per-leaf runs.  Each run costs one descent and one lock
-       round per shard; within a run input order is kept, so the *first*
-       occurrence of an in-batch duplicate is the one reported
-       inserted. *)
-    let groups : (Timestamp.t, int list ref) Hashtbl.t = Hashtbl.create 16 in
-    let order = ref [] in
-    for i = n - 1 downto 0 do
-      (* reverse iteration + prepend = input order inside each group *)
-      let ts = tss.(i) in
-      match Hashtbl.find_opt groups ts with
-      | Some cell -> cell := i :: !cell
-      | None ->
-          let cell = ref [ i ] in
-          Hashtbl.replace groups ts cell;
-          order := ts :: !order
+  (* Each run of adjacent same-path tuples costs one descent and one
+     lock round per leaf shard — a batch from one literal-orderby table
+     is a single run (its slots even share one memoised timestamp
+     array, so the path test is a physical-equality hit).  Input order
+     is kept, so the *first* occurrence of an in-batch duplicate is the
+     one reported inserted. *)
+  let inserted = ref 0 in
+  let lo = ref 0 in
+  while !lo < n do
+    let ts = tss.(!lo) in
+    let hi = ref (!lo + 1) in
+    while !hi < n && same_path tss.(!hi) ts do
+      incr hi
     done;
-    let inserted = ref 0 in
-    List.iter
-      (fun ts ->
-        let run = !(Hashtbl.find groups ts) in
-        let path = node_path t ts in
-        let leaf_node = path.(Array.length path - 1) in
-        let added =
-          leaf_node.leaf.l_add_many tuples run (fun p -> res.(p) <- true)
-        in
-        if added > 0 then
-          Array.iter
-            (fun nd -> ignore (Atomic.fetch_and_add nd.count added))
-            path;
-        inserted := !inserted + added)
-      !order;
-    stripe_add t.inserted !inserted;
-    stripe_add t.deduped (n - !inserted)
-    end
-  end;
+    let path = node_path t ts in
+    let leaf_node = path.(Array.length path - 1) in
+    let added =
+      leaf_node.leaf.l_add_many tuples !lo !hi (fun p -> res.(p) <- true)
+    in
+    if added > 0 then
+      Array.iter (fun nd -> ignore (Atomic.fetch_and_add nd.count added)) path;
+    inserted := !inserted + added;
+    lo := !hi
+  done;
+  stripe_add t.inserted !inserted;
+  stripe_add t.deduped (n - !inserted);
   res
 
 (* Extraction of the minimal equivalence class.  Single-threaded; uses

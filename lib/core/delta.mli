@@ -27,10 +27,11 @@ val insert : t -> Tuple.t -> Timestamp.t -> bool
 val insert_batch : t -> Tuple.t array -> Timestamp.t array -> int -> bool array
 (** [insert_batch t tuples tss n] inserts items [0..n-1] of the two
     parallel arrays at once (parallel arrays, not pairs, so batching
-    buffers allocate nothing per put).  The batch is grouped by
-    timestamp internally (one hash pass, no sort) so that tuples sharing
-    a tree path become one run that pays a single descent and takes each
-    leaf-shard lock at most once.  Result slot [i] is [true] iff item
+    buffers allocate nothing per put).  Each run of adjacent items on
+    one tree path (structurally equal timestamps) pays a single descent
+    and takes each leaf-shard lock at most once, so callers that keep
+    same-timestamp puts together — one table's literal-orderby puts,
+    one feed's batch — pay per run, not per tuple.  Result slot [i] is [true] iff item
     [i] was newly inserted; of several equal tuples in one batch, the
     first by input position wins.  Safe to run concurrently with
     {!insert}. *)
@@ -60,10 +61,10 @@ val deduped_total : t -> int
 (** Lifetime count of duplicate tuples dropped on insert. *)
 
 val note_deduped : t -> int -> unit
-(** Add [k] duplicates dropped by an upstream dedup stage (a batched
-    put buffer that filtered them before insert) to the
-    {!deduped_total} count, keeping the counter comparable across
-    batched and per-tuple put paths. *)
+(** Add [k] duplicates dropped by an upstream dedup stage (a scratch
+    arena that filtered them before insert) to the {!deduped_total}
+    count, so the counter is the same whichever stage drops a
+    duplicate. *)
 
 val depth : t -> int
 (** Depth of the deepest subtree still holding pending tuples (0 when

@@ -13,17 +13,24 @@
         table's store (manual lifetime hints, as in the Median study).
 
    Each step is two barriers: first the whole class is inserted into
-   Gamma (in parallel), then all rules fire (in parallel).  Rules of the
-   same class therefore observe the *entire* class in Gamma, never a
+   Gamma (one batched insert per table), then all rules fire.  Rules of
+   the same class therefore observe the *entire* class in Gamma, never a
    fraction of it — this is what makes positive queries at the trigger's
    own timestamp deterministic under any schedule.
+
+   There is one firing path: each (rule, table) run of the class is
+   split into chunks of [Config.grain] triggers ([Fixed 1] is the §5.2
+   task per (tuple, rule)), and each chunk is a unit of work.  Every put
+   lands in the scratch arena of the unit that made it — a firing chunk,
+   a [par_iter] leaf, or one feed, initial-put or action-handler call —
+   and the arena flushes into Delta when its unit ends.
 
    Set semantics: a put whose tuple is already in Gamma or already
    pending in Delta is dropped.  Duplicate drops are what terminate
    recursive programs (the SumMonth dedup of §6.2).
 
    -noDelta T tuples bypass Delta: they are inserted into Gamma and
-   their rules fire immediately, inside the putting task (§5.1).
+   their rules fire immediately, inside the putting unit (§5.1).
    -noGamma T tuples are never stored (they are trigger-only). *)
 
 exception Causality_violation of string
@@ -63,73 +70,66 @@ type result = {
   digest : digest option; (* Config.digest *)
 }
 
-(* One stripe of the put-batching buffer: growable parallel arrays
-   (tuples and timestamps separately — no per-entry pair allocation)
-   under a mutex.  Each domain lands on its own stripe in steady state,
-   so the lock is uncontended; capacity is kept across flushes, so after
-   the first step a put costs two plain stores. *)
-type put_buf = {
-  pb_mutex : Mutex.t;
-  mutable pb_tuples : Tuple.t array;
-  mutable pb_ts : Timestamp.t array;
-  mutable pb_len : int;
-}
-
-(* Per-task scratch arena for the batched firing path: pending Delta
-   inserts as growable parallel arrays, owned by exactly one (rule,
-   table)-chunk task at a time, so pushes are plain stores — no mutex,
-   unlike [put_buf_push].  Arenas live on a free list in the engine
-   state and keep their capacity across tasks and steps, so after
-   warmup a batched put allocates nothing. *)
+(* The scratch arena of one unit of work: pending Delta inserts in a
+   growable array.  An arena belongs to exactly one open unit on one
+   domain, so pushes are plain stores, and it keeps its capacity across
+   units, so after warmup a put allocates nothing.  Timestamps are
+   projected at the flush: a put that dies as a duplicate never needs
+   one, and none outlives its flush (so none is promoted by the
+   arena's long-lived array). *)
 type scratch = {
   mutable sc_tuples : Tuple.t array;
-  mutable sc_ts : Timestamp.t array;
   mutable sc_len : int;
   sc_seen : Tuple.Dset.t;
-      (* Task-local dedup: any tuple pushed once this task is already
+      (* Unit-local dedup: any tuple pushed once this unit is already
          pending in Delta for the rest of the class, so later puts of
          it are dropped here with one lock-free probe instead of riding
-         through the flush.  Valid across mid-task flushes (flushed
+         through the flush.  Valid across mid-unit flushes (flushed
          tuples stay pending until the class barrier); cleared when the
-         task releases the arena. *)
-  mutable sc_dups : int; (* drops by [sc_seen], reported at task end *)
+         unit closes, at a cost proportional to what it holds. *)
+  mutable sc_dups : int; (* drops by [sc_seen], reported at unit end *)
+  mutable sc_home : int;
+      (* the unit's owner shard under sharded execution ([-1] when
+         unknown or unsharded): flushes repartition by owner and ship
+         from here, so cross-shard counters attribute the traffic *)
+  sc_cursor : (Value.t array * Tuple.t list) option array;
+      (* by table id: the last probe of a probe-stable table in this
+         unit.  A join-key-sorted chunk probes equal keys back to back,
+         so a run of lookups against a hash-indexed table costs one
+         bucket probe *)
+  mutable sc_cursor_used : bool; (* any [sc_cursor] slot set *)
+}
+
+(* The units open on one domain for one engine, innermost last.  Units
+   nest on a domain in strict LIFO order (a -noDelta put fires inside
+   its unit; a fork/join join runs stolen tasks to completion before
+   the joiner resumes), so the innermost open unit is always the one
+   making the put. *)
+type lane = {
+  l_domain : int;
+  mutable l_open : scratch array; (* arenas, reused by depth *)
+  mutable l_depth : int; (* open units; [l_open.(l_depth - 1)] is current *)
 }
 
 (* Flush a scratch arena into Delta once it holds this many puts (or at
-   task end).  Large enough that [Delta.insert_batch]'s grouping and
-   per-leaf lock amortisation dominate, small enough to stay resident
+   unit end).  Large enough that [Delta.insert_batch]'s one descent and
+   lock round per same-timestamp run dominate, small enough to stay resident
    in cache; exposed as the [engine.put_flush_threshold] gauge. *)
 let scratch_flush_threshold = 32_768
 
-let scratch_push sc tuple ts =
+(* Arenas start small: [Array.make] of a major-heap-sized array whose
+   fill value is young forces a minor collection, which a fresh
+   session's first units would otherwise pay at the tail of their
+   latency. *)
+let scratch_push sc tuple =
   let cap = Array.length sc.sc_tuples in
   if sc.sc_len = cap then begin
-    let ncap = if cap = 0 then 1024 else 2 * cap in
-    let bigger_t = Array.make ncap tuple and bigger_s = Array.make ncap ts in
-    Array.blit sc.sc_tuples 0 bigger_t 0 cap;
-    Array.blit sc.sc_ts 0 bigger_s 0 cap;
-    sc.sc_tuples <- bigger_t;
-    sc.sc_ts <- bigger_s
+    let bigger = Array.make (if cap = 0 then 16 else 2 * cap) tuple in
+    Array.blit sc.sc_tuples 0 bigger 0 cap;
+    sc.sc_tuples <- bigger
   end;
   sc.sc_tuples.(sc.sc_len) <- tuple;
-  sc.sc_ts.(sc.sc_len) <- ts;
   sc.sc_len <- sc.sc_len + 1
-
-let put_buf_push b tuple ts =
-  Mutex.lock b.pb_mutex;
-  let cap = Array.length b.pb_tuples in
-  if b.pb_len = cap then begin
-    let ncap = if cap = 0 then 1024 else 2 * cap in
-    let bigger_t = Array.make ncap tuple and bigger_s = Array.make ncap ts in
-    Array.blit b.pb_tuples 0 bigger_t 0 cap;
-    Array.blit b.pb_ts 0 bigger_s 0 cap;
-    b.pb_tuples <- bigger_t;
-    b.pb_ts <- bigger_s
-  end;
-  b.pb_tuples.(b.pb_len) <- tuple;
-  b.pb_ts.(b.pb_len) <- ts;
-  b.pb_len <- b.pb_len + 1;
-  Mutex.unlock b.pb_mutex
 
 type state = {
   frozen : Program.frozen;
@@ -149,19 +149,10 @@ type state = {
   out_buf : string Jstar_cds.Treiber_stack.t; (* per-step println sink *)
   outputs : string list ref; (* accumulated, reverse order *)
   outputs_count : int ref; (* length of [outputs], kept incrementally *)
-  put_bufs : put_buf array;
-      (* Config.put_batching: domain-striped buffers of pending Delta
-         inserts, drained through Delta.insert_batch at the phase
-         barriers (which already define class visibility, so buffering
-         inside a phase cannot change what any rule observes).  Under
-         Config.shards the layout becomes [stripe * nshards + dest]:
-         each (stripe, destination-shard) buffer flushes as exactly one
-         mailbox message, so stripes are sized per shard, not shared
-         across the whole grid *)
-  put_stripe_mask : int;
-      (* stripes - 1 (stripes is a power of two): the domain-id mask
-         selecting a stripe, independent of the put_bufs length (which
-         is stripes * nshards when sharded) *)
+  lanes : lane array Atomic.t;
+      (* one per domain that has opened a unit of this engine; appended
+         under [lanes_mutex] (once per domain), read lock-free *)
+  lanes_mutex : Mutex.t;
   shard : Shard.t option;
       (* Config.shards >= 1: shared-nothing sharded execution.  Gamma
          and Delta are partitioned by tuple hash into single-owner
@@ -184,10 +175,11 @@ type state = {
          immutable bool instead of chasing the tracer's level *)
   counters_on : bool; (* likewise [Tracer.counters_on obs] *)
   trace_rule_fire : bool;
-      (* [Tracer.enabled obs Kind.rule_fire]: the one per-task span kind,
-         separately cached so the suppress mask can drop it while
-         step/extract spans stay on *)
-  h_rule_latency : Jstar_obs.Metrics.histogram; (* seconds per fire *)
+      (* [Tracer.enabled obs Kind.rule_fire]: the per -noDelta firing
+         span kind, separately cached so the suppress mask can drop it
+         while step/extract spans stay on *)
+  h_rule_latency : Jstar_obs.Metrics.histogram;
+      (* seconds per -noDelta immediate firing *)
   h_class_width : Jstar_obs.Metrics.histogram; (* tuples per class *)
   lineage : Lineage.t option; (* Config.provenance: candidate arenas *)
   prov_mask : bool array;
@@ -207,24 +199,20 @@ type state = {
       (* current step number for lineage records: 0 during initial
          puts, then counts classes from 1.  Monotonic across session
          drains *)
-  batch_on : bool; (* Config.batch_fire, cached *)
   probe_ok : bool array;
-      (* by table id: may the batched firing path cache this table's
-         probe results across a chunk?  Requires Gamma to grow only at
-         Phase-A barriers and never evict — the same indexable &&
-         Delta-bound && stored condition as the aggregate cache *)
+      (* by table id: may a unit cache this table's probe results?
+         Requires Gamma to grow only at Phase-A barriers and never evict
+         — the same indexable && Delta-bound && stored condition as the
+         aggregate cache *)
   rule_sort_pos : int array option array;
       (* by rule id: trigger-field positions of the rule's first
          positive read with a declared all-[Field] [Spec.rd_prefix].
-         The batch path sorts each (rule, table) chunk by these fields
-         so triggers probing the same join key run adjacently and the
+         Phase B sorts each (rule, table) run by these fields so
+         triggers probing the same join key run adjacently and the
          one-entry probe cursor hits *)
-  scratch_mutex : Mutex.t;
-  scratch_free : scratch list ref;
-      (* free list of firing-task scratch arenas; arenas keep capacity *)
   trace_batch_fire : bool; (* [Tracer.enabled obs Kind.batch_fire] *)
   h_batch_width : Jstar_obs.Metrics.histogram;
-      (* triggers per (rule, table) run entering the batch firing path *)
+      (* triggers per (rule, table) run entering Phase B *)
   profiler : Jstar_obs.Profiler.t option;
       (* Config.profile: continuous per-rule/per-table cost attribution.
          Firing sites bracket rule bodies with [fire_start]/[fire_stop];
@@ -443,26 +431,13 @@ let make_state frozen config =
              ~demote_windows:a.Config.adv_demote_windows adv_tables)
   in
   let metrics = Jstar_obs.Metrics.create () in
-  (* Stripe count scales with the pool so domains rarely share a stripe
-     lock.  The floor used to be 16; with batched firing sinking the
-     parallel-phase puts into per-task scratch arenas the striped
-     buffers mostly serve the per-tuple path and external feeds, and
-     fewer stripes shorten the every-barrier flush scan — 2x threads
-     with a floor of 8 measures no worse at every pool size. *)
-  let put_stripes =
-    Jstar_sched.Bits.next_pow2 (max 8 (2 * config.Config.threads))
-  in
-  (* Sharded layout: [stripe * nshards + dest] — each (stripe, shard)
-     buffer becomes one mailbox message at the flush, so stripes are
-     sized per shard rather than splitting one stripe set across all
-     destinations. *)
-  let put_buf_count =
-    match shard with
-    | Some sh -> put_stripes * Shard.count sh
-    | None -> put_stripes
-  in
   let lineage =
-    if config.Config.provenance then Some (Lineage.create ~stripes:put_stripes)
+    if config.Config.provenance then
+      (* arena stripes scale with the pool so domains rarely share one *)
+      Some
+        (Lineage.create
+           ~stripes:
+             (Jstar_sched.Bits.next_pow2 (max 8 (2 * config.Config.threads))))
     else None
   in
   let prov_mask =
@@ -528,15 +503,14 @@ let make_state frozen config =
     out_buf = Jstar_cds.Treiber_stack.create ();
     outputs = ref [];
     outputs_count = ref 0;
-    put_bufs =
-      Array.init put_buf_count (fun _ ->
-          {
-            pb_mutex = Mutex.create ();
-            pb_tuples = [||];
-            pb_ts = [||];
-            pb_len = 0;
-          });
-    put_stripe_mask = put_stripes - 1;
+    lanes =
+      (* the creating (driving) domain's lane up front: its units never
+         take the registration mutex *)
+      Atomic.make
+        [|
+          { l_domain = (Domain.self () :> int); l_open = [||]; l_depth = 0 };
+        |];
+    lanes_mutex = Mutex.create ();
     shard;
     current_ts = ref None;
     processed = ref 0;
@@ -560,11 +534,8 @@ let make_state frozen config =
     digest_on = config.Config.digest;
     seq_digest = Fingerprint.create ();
     step_no = ref 0;
-    batch_on = config.Config.batch_fire;
     probe_ok;
     rule_sort_pos;
-    scratch_mutex = Mutex.create ();
-    scratch_free = ref [];
     trace_batch_fire = Jstar_obs.Tracer.enabled obs Jstar_obs.Kind.batch_fire;
     h_batch_width =
       Jstar_obs.Metrics.histogram metrics ~name:"engine.batch_width";
@@ -603,8 +574,6 @@ let make_state frozen config =
         (match st.shard with
         | Some sh -> Shard.depth sh
         | None -> Delta.depth st.delta));
-  Jstar_obs.Metrics.register_gauge metrics ~name:"engine.put_stripes"
-    (fun () -> Jstar_obs.Metrics.Int (st.put_stripe_mask + 1));
   (match st.shard with
   | Some sh ->
       let n = Shard.count sh in
@@ -632,10 +601,6 @@ let make_state frozen config =
           (fun () -> Shard.msgs_posted_to sh k)
       done
   | None -> ());
-  Jstar_obs.Metrics.register_gauge metrics ~name:"engine.put_buf_fill"
-    (fun () ->
-      Jstar_obs.Metrics.Int
-        (Array.fold_left (fun acc b -> acc + b.pb_len) 0 st.put_bufs));
   Jstar_obs.Metrics.register_gauge metrics ~name:"engine.put_flush_threshold"
     (fun () -> Jstar_obs.Metrics.Int scratch_flush_threshold);
   Array.iteri
@@ -821,13 +786,24 @@ let audit_fail st ?(tuples = []) msg =
     ];
   raise (Causality_violation msg)
 
-(* The auditor's put-side check: relative to the *trigger's* timestamp
-   (the frame), which is later than the engine's class timestamp inside
-   -noDelta chains — exactly where [runtime_causality_check]'s
-   class-level test is too lax. *)
+(* The auditor's put-side check.  Inside a firing it is relative to the
+   *trigger's* timestamp (the frame), which is later than the class
+   timestamp inside -noDelta chains.  Outside any firing — a feed from a
+   step hook — it is relative to the class the running drain executed
+   last: a put behind it would change a past that rules have already
+   read.  A drain that reaches quiescence ends its run and clears
+   [current_ts], so a session's next feed may sort before the classes
+   already run (§3's event streams do, tick after tick); a firing of the
+   new run that reads something later than its trigger is caught by
+   the read-side check below. *)
 let audit_put st tuple ts =
   let fr = Prov_frame.get () in
-  match fr.Prov_frame.now with
+  let now =
+    match fr.Prov_frame.now with
+    | Some _ as now -> now
+    | None -> !(st.current_ts)
+  in
+  match now with
   | Some now when not (Timestamp.leq now ts) ->
       audit_fail st ~tuples:[ tuple ]
         (Fmt.str "audit: rule %s at %a put %a into the past (%a)"
@@ -854,25 +830,210 @@ let audit_visit st fr tuple =
              Tuple.pp tuple Timestamp.pp ts
              (if strict then " (must be strictly earlier)" else ""))
 
+(* Run [f fr] on the domain's firing frame and restore every field
+   afterwards.  Firings nest on one domain — -noDelta puts fire rules
+   inside the putting unit, and a blocking fork/join join can run a
+   stolen task — so each must leave the frame as it found it. *)
+let in_frame f =
+  let fr = Prov_frame.get () in
+  let rule = fr.Prov_frame.rule
+  and now = fr.Prov_frame.now
+  and bound = fr.Prov_frame.bound
+  and strict = fr.Prov_frame.strict
+  and past = fr.Prov_frame.past in
+  let restore () =
+    fr.Prov_frame.rule <- rule;
+    fr.Prov_frame.now <- now;
+    fr.Prov_frame.bound <- bound;
+    fr.Prov_frame.strict <- strict;
+    fr.Prov_frame.past <- past
+  in
+  match f fr with
+  | () -> restore ()
+  | exception e ->
+      restore ();
+      raise e
+
+(* Point the frame at one firing of [rule], triggered by [t] at [now]. *)
+let enter_firing fr ~rule ~now t =
+  fr.Prov_frame.rule <- rule;
+  fr.Prov_frame.now <- now;
+  fr.Prov_frame.bound <- [ t ];
+  fr.Prov_frame.past <- []
+
+(* ------------------------------------------------------------------ *)
+(* Units of work and their scratch arenas                              *)
+
+let rec find_lane lanes d i =
+  if i = Array.length lanes then raise Not_found
+  else if lanes.(i).l_domain = d then lanes.(i)
+  else find_lane lanes d (i + 1)
+
+(* This engine's lane on the calling domain, registered on first use.
+   Only the registering domain ever looks its own lane up, so the
+   append needs no re-check under the mutex. *)
+let lane st =
+  let d = (Domain.self () :> int) in
+  try find_lane (Atomic.get st.lanes) d 0
+  with Not_found ->
+    let l = { l_domain = d; l_open = [||]; l_depth = 0 } in
+    Mutex.lock st.lanes_mutex;
+    Atomic.set st.lanes (Array.append (Atomic.get st.lanes) [| l |]);
+    Mutex.unlock st.lanes_mutex;
+    l
+
+let flush_scratch st sc =
+  let n = sc.sc_len in
+  if n > 0 then begin
+    (* filled from the static empty array, so no minor collection is
+       forced however large the flush *)
+    let tss = Array.make n [||] in
+    for i = 0 to n - 1 do
+      let t = sc.sc_tuples.(i) in
+      tss.(i) <- timestamp_of st (Tuple.schema t).Schema.id t
+    done;
+    match st.shard with
+    | Some sh ->
+        (* Sharded: the arena repartitions by owner and ships one
+           message per destination — tuples owned by [sc_home] loop back
+           through its own mailbox (cheap, and it keeps the single-owner
+           invariant on the trees unconditional).  Stats are counted at
+           the drain, where the insert outcome is known. *)
+        Shard.post_partitioned sh ~from:sc.sc_home sc.sc_tuples tss n;
+        sc.sc_len <- 0
+    | None ->
+        (* [Delta.insert_batch] is safe under concurrent insertion, so
+           units flush without coordination; stats are aggregated per
+           table first — two atomic ops per table, not one per put. *)
+        let res = Delta.insert_batch st.delta sc.sc_tuples tss n in
+        let ntab = Array.length st.gamma in
+        let ins = Array.make ntab 0 and dup = Array.make ntab 0 in
+        for i = 0 to n - 1 do
+          let id = (Tuple.schema sc.sc_tuples.(i)).Schema.id in
+          if res.(i) then ins.(id) <- ins.(id) + 1
+          else dup.(id) <- dup.(id) + 1
+        done;
+        sc.sc_len <- 0;
+        for id = 0 to ntab - 1 do
+          if ins.(id) > 0 || dup.(id) > 0 then begin
+            let c = Table_stats.counters st.stats id in
+            Table_stats.add c.Table_stats.delta_inserts ins.(id);
+            Table_stats.add c.Table_stats.delta_dups dup.(id)
+          end
+        done
+  end
+
+(* Empty an arena for its next unit.  Each reset costs what the arena
+   holds: an arena once used by a wide class must not pay its old width
+   again for every narrow unit (a [Fixed 1] chunk). *)
+let reset sc =
+  sc.sc_len <- 0;
+  sc.sc_dups <- 0;
+  Tuple.Dset.clear sc.sc_seen;
+  if sc.sc_cursor_used then begin
+    Array.fill sc.sc_cursor 0 (Array.length sc.sc_cursor) None;
+    sc.sc_cursor_used <- false
+  end
+
+(* Run [f ()] as one unit of work on the calling domain, in the arena at
+   its nesting depth; the arena flushes when [f] returns.  An exception
+   abandons the unit's pending puts along with the run it escapes. *)
+let in_unit st ~home f =
+  let lane = lane st in
+  let d = lane.l_depth in
+  if d = Array.length lane.l_open then
+    lane.l_open <-
+      Array.append lane.l_open
+        [|
+          {
+            sc_tuples = [||];
+            sc_len = 0;
+            sc_seen = Tuple.Dset.create 64;
+            sc_dups = 0;
+            sc_home = -1;
+            sc_cursor = Array.make (Array.length st.gamma) None;
+            sc_cursor_used = false;
+          };
+        |];
+  let sc = lane.l_open.(d) in
+  sc.sc_home <- home;
+  lane.l_depth <- d + 1;
+  (match f () with
+  | () ->
+      flush_scratch st sc;
+      if sc.sc_dups > 0 then begin
+        match st.shard with
+        | Some sh -> Shard.note_deduped sh sc.sc_dups
+        | None -> Delta.note_deduped st.delta sc.sc_dups
+      end
+  | exception e ->
+      reset sc;
+      lane.l_depth <- d;
+      raise e);
+  reset sc;
+  lane.l_depth <- d
+
+(* The arena of the calling domain's innermost open unit.  Every put
+   and probe runs inside a unit: rule bodies in a firing chunk or a
+   [par_iter] leaf, feeds, initial puts and action handlers. *)
+let current st =
+  let lane = lane st in
+  lane.l_open.(lane.l_depth - 1)
+
+(* Fork/join leaf size for [n] items: [Config.grain] under a pool; with
+   no pool there is nothing to balance, so one leaf. *)
+let grain_for st n =
+  match st.pool with
+  | Some pool ->
+      Config.resolve_grain st.config ~workers:(Jstar_sched.Pool.size pool) ~n
+  | None -> max 1 n
+
+(* [(home, lo, hi)] tasks covering [lo, hi) in [grain]-sized chunks,
+   prepended to [acc] in reverse order. *)
+let rec chunk_tasks ~grain ~home lo hi acc =
+  if lo >= hi then acc
+  else
+    let e = min hi (lo + grain) in
+    chunk_tasks ~grain ~home e hi ((home, lo, e) :: acc)
+
+(* Run [f ~home lo hi] per task: as fork/join tasks when there is a pool
+   and more than one task, inline otherwise. *)
+let run_tasks st tasks f =
+  match (st.pool, tasks) with
+  | Some pool, _ :: _ :: _ ->
+      let tasks = Array.of_list tasks in
+      Jstar_sched.Forkjoin.parallel_for pool ~grain:1 ~lo:0
+        ~hi:(Array.length tasks) (fun i ->
+          let home, lo, hi = tasks.(i) in
+          f ~home lo hi)
+  | _ -> List.iter (fun (home, lo, hi) -> f ~home lo hi) tasks
+
+(* ------------------------------------------------------------------ *)
+(* Put routing                                                         *)
+
+let push_put st sc c tuple =
+  if not (Tuple.Dset.add_if_absent sc.sc_seen tuple) then begin
+    (* Duplicate of a put already pending from this unit: drop it here,
+       with the counter totals [Delta.insert_batch] would have given. *)
+    Table_stats.incr c.Table_stats.delta_dups;
+    sc.sc_dups <- sc.sc_dups + 1
+  end
+  else begin
+    scratch_push sc tuple;
+    if sc.sc_len >= scratch_flush_threshold then flush_scratch st sc
+  end
+
 let rec route_put st ctx tuple =
   let schema = Tuple.schema tuple in
   let id = schema.Schema.id in
   let c = Table_stats.counters st.stats id in
   Table_stats.incr c.Table_stats.puts;
-  let ts = timestamp_of st id tuple in
   (match st.lineage with
   | Some l -> record_lineage st l tuple
   | None -> ());
-  if st.audit_on then audit_put st tuple ts;
-  if st.config.Config.runtime_causality_check then
-    (match !(st.current_ts) with
-    | Some now when not (Timestamp.leq now ts) ->
-        audit_fail st ~tuples:[ tuple ]
-          (Fmt.str "rule at %a put %a into the past (%a)" Timestamp.pp now
-             Tuple.pp tuple Timestamp.pp ts)
-    | _ -> ());
+  if st.audit_on then audit_put st tuple (timestamp_of st id tuple);
   if st.no_delta.(id) then (
-    (* §5.1: straight to Gamma, fire immediately in this task. *)
+    (* §5.1: straight to Gamma, fire immediately in this unit. *)
     if st.gamma.(id).Store.insert tuple then (
       Table_stats.incr c.Table_stats.gamma_inserts;
       fire_rules st ctx tuple)
@@ -881,64 +1042,363 @@ let rec route_put st ctx tuple =
     (* Already processed: set semantics drop. *)
     Table_stats.incr c.Table_stats.gamma_dups
   else
-    match st.shard with
-    | Some sh ->
-        (* Sharded mode defers every Delta-bound put, [put_batching] or
-           not: the (stripe, owner) buffer ships to the owner's mailbox
-           as one message at the barrier flush.  The [mem] precheck
-           stays valid — Gamma of a Delta-bound table only changes at
-           Phase A. *)
-        let stripe = (Domain.self () :> int) land st.put_stripe_mask in
-        put_buf_push
-          st.put_bufs.((stripe * Shard.count sh) + Shard.owner_of sh tuple)
-          tuple ts
-    | None ->
-        if st.config.Config.put_batching then
-          (* Defer to the barrier flush.  Gamma of a Delta-bound table
-             only changes at Phase A, so the [mem] precheck above cannot
-             go stale between here and the flush. *)
-          put_buf_push
-            st.put_bufs.((Domain.self () :> int) land st.put_stripe_mask)
-            tuple ts
-        else if Delta.insert st.delta tuple ts then
-          Table_stats.incr c.Table_stats.delta_inserts
-        else Table_stats.incr c.Table_stats.delta_dups
+    (* Into the unit's arena.  Gamma of a Delta-bound table only changes
+       at Phase A, so the [mem] check above cannot go stale before the
+       arena flushes. *)
+    push_put st (current st) c tuple
 
-and flush_puts st =
-  (* Drain the striped put buffers into Delta in one sorted batch.
-     Runs only at barriers (after initial puts, at the end of each
-     step), never concurrently with rule tasks.  Sharded mode replaces
-     the direct Delta flush with the watermark exchange: every
-     (stripe, shard) buffer ships as one mailbox message, then each
-     owner drains its own mailbox into its own sequential Delta — one
-     task per shard, no cross-domain contention on the trees. *)
+(* Immediate firing of a -noDelta tuple's rules (§5.1), inside the unit
+   that put it — the one per-tuple firing left, and so the only one
+   that records rule-fire spans and [engine.rule_fire_latency_s]. *)
+and fire_rules st ctx tuple =
+  let id = (Tuple.schema tuple).Schema.id in
+  match st.frozen.Program.rules_by_trigger.(id) with
+  | [] -> ()
+  | rules ->
+      let c = Table_stats.counters st.stats id in
+      let t0 = if st.counters_on then Jstar_obs.Monotonic.now_ns () else 0 in
+      let fire r =
+        Table_stats.incr c.Table_stats.triggers;
+        match st.profiler with
+        | Some p ->
+            let p0 = Jstar_obs.Profiler.fire_start p in
+            r.Rule.body ctx tuple;
+            Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid p0
+        | None -> r.Rule.body ctx tuple
+      in
+      (if st.prov_or_audit then begin
+         let now = Some (timestamp_of st id tuple) in
+         in_frame (fun fr ->
+             List.iter
+               (fun r ->
+                 enter_firing fr ~rule:r.Rule.rid ~now tuple;
+                 fire r)
+               rules)
+       end
+       else List.iter fire rules);
+      if st.counters_on then begin
+        let dur = Jstar_obs.Monotonic.now_ns () - t0 in
+        Jstar_obs.Metrics.observe st.h_rule_latency (float_of_int dur *. 1e-9);
+        if st.trace_rule_fire then
+          Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.rule_fire ~arg:id
+            ~ts:t0 ~dur
+      end
+
+(* Positive-scan wrapping: audit each visited tuple, bind it for the
+   duration of the body [f], and — once the scan has completed — retain
+   the visited set in [fr.past] so later puts of the same firing still
+   see the scan's bindings as parents.  Strict (negative/aggregate)
+   scans are not retained: their contribution is the aggregate, not the
+   tuples, and the visited set would be unbounded. *)
+let scan_wrapped st iter f =
+  let fr = Prov_frame.get () in
+  if fr.Prov_frame.rule = Prov_frame.seed_rule then
+    (* outside any firing (inspection after a run) *)
+    iter f
+  else begin
+    let retain = st.prov_on && fr.Prov_frame.strict = 0 in
+    let visited = ref [] in
+    iter (fun t ->
+        if st.audit_on then audit_visit st fr t;
+        if st.prov_on then begin
+          (* The visited tuple is a binding of this body literal for
+             the duration of [f]: any put inside records it as a
+             parent. *)
+          let saved = fr.Prov_frame.bound in
+          fr.Prov_frame.bound <- t :: saved;
+          match f t with
+          | () ->
+              fr.Prov_frame.bound <- saved;
+              if retain then visited := t :: !visited
+          | exception e ->
+              fr.Prov_frame.bound <- saved;
+              raise e
+        end
+        else f t);
+    match !visited with
+    | [] -> ()
+    | vs -> fr.Prov_frame.past <- List.rev_append vs fr.Prov_frame.past
+  end
+
+(* A positive query against a probe-stable table ([st.probe_ok]): served
+   from the innermost open unit's cursor when the prefix repeats, else
+   probed and remembered.  Valid for the whole unit because such a
+   table's Gamma only grows at Phase-A barriers. *)
+let probe st id prefix =
+  let sc = current st in
+  match sc.sc_cursor.(id) with
+  | Some (p, items) when Value.equal_arrays prefix p -> Some items
+  | _ -> (
+      match st.gamma.(id).Store.probe_prefix prefix with
+      | Some items as hit ->
+          (* Copy: rule bodies may reuse one prefix buffer across probes,
+             and the cursor must remember the values probed, not alias
+             the live buffer. *)
+          sc.sc_cursor.(id) <- Some (Array.copy prefix, items);
+          sc.sc_cursor_used <- true;
+          hit
+      | None -> None)
+
+(* The engine's one firing context, shared by every unit: puts and
+   probes find their unit through the calling domain's lane, so a
+   firing allocates no context of its own. *)
+let make_ctx st =
+  let rec ctx =
+    {
+      Rule.put = (fun tuple -> route_put st ctx tuple);
+      iter_prefix =
+        (fun schema prefix f ->
+          let id = schema.Schema.id in
+          let c = Table_stats.counters st.stats id in
+          Table_stats.incr c.Table_stats.queries;
+          (match st.advisor with
+          | Some adv -> Advisor.note_query adv id (Array.length prefix)
+          | None -> ());
+          let iter =
+            match if st.probe_ok.(id) then probe st id prefix else None with
+            | Some items -> fun g -> List.iter g items
+            | None -> st.gamma.(id).Store.iter_prefix prefix
+          in
+          if st.prov_or_audit then scan_wrapped st iter f else iter f);
+      store_of = (fun schema -> st.gamma.(schema.Schema.id));
+      println =
+        (fun line ->
+          if st.config.Config.print_directly then print_endline line
+          else Jstar_cds.Treiber_stack.push st.out_buf line);
+      class_ts = (fun () -> !(st.current_ts));
+      par_iter =
+        (fun lo hi f ->
+          match st.pool with
+          | Some _ when hi - lo > 1 ->
+              let leaf =
+                if not st.prov_or_audit then fun a b ->
+                  for i = a to b - 1 do
+                    f i
+                  done
+                else begin
+                  (* Leaves may run on other domains: carry the firing
+                     frame (rule, trigger time, bindings so far) to the
+                     executing domain, restoring whatever firing that
+                     domain had in flight. *)
+                  let fr = Prov_frame.get () in
+                  let rule = fr.Prov_frame.rule
+                  and now = fr.Prov_frame.now
+                  and bound = fr.Prov_frame.bound
+                  and strict = fr.Prov_frame.strict
+                  and past = fr.Prov_frame.past in
+                  fun a b ->
+                    in_frame (fun cfr ->
+                        cfr.Prov_frame.rule <- rule;
+                        cfr.Prov_frame.now <- now;
+                        cfr.Prov_frame.bound <- bound;
+                        cfr.Prov_frame.strict <- strict;
+                        cfr.Prov_frame.past <- past;
+                        for i = a to b - 1 do
+                          f i
+                        done)
+                end
+              in
+              (* Each leaf is a unit: its puts land in an arena owned by
+                 the domain running it, never in the firing's. *)
+              let tasks =
+                chunk_tasks ~grain:(grain_for st (hi - lo))
+                  ~home:(current st).sc_home lo hi []
+              in
+              run_tasks st (List.rev tasks) (fun ~home a b ->
+                  in_unit st ~home (fun () -> leaf a b))
+          | _ ->
+              for i = lo to hi - 1 do
+                f i
+              done);
+      agg = st.agg;
+    }
+  in
+  ctx
+
+(* ------------------------------------------------------------------ *)
+(* Phase B: batched relational algebra.  The accepted class arrives
+   grouped by table; each (rule, table) run is optionally sorted by the
+   rule's declared hash-join key and split into chunks, and each chunk
+   fires the rule body over its triggers as one unit of work, with
+   every fixed cost hoisted out of the per-tuple loop: one arena for
+   pending puts, one probe cursor that turns a run of equal-key lookups
+   into a single bucket probe, one frame save/restore.  Within-class
+   firing order is free under the law of causality, so none of this
+   changes what any rule observes. *)
+
+(* Fire rule [r] for [chunk.(lo..hi-1)] as one unit.  [home] is the
+   unit's owner shard under sharded execution ([-1] unsharded). *)
+let fire_chunk st ctx r id ~home chunk lo hi =
+  let t0 = if st.trace_batch_fire then Jstar_obs.Monotonic.now_ns () else 0 in
+  (* One profiler frame for the whole chunk, credited [hi - lo] firings:
+     chunking amortises the bracket the same way it amortises every
+     other per-firing fixed cost.  Nested immediate (-noDelta) firings
+     inside the chunk open their own frames, so they are excluded from
+     this rule's self time as usual. *)
+  let p0 =
+    match st.profiler with
+    | Some p -> Jstar_obs.Profiler.fire_start p
+    | None -> 0
+  in
+  in_unit st ~home (fun () ->
+      if st.prov_or_audit then
+        in_frame (fun fr ->
+            for i = lo to hi - 1 do
+              let t = chunk.(i) in
+              enter_firing fr ~rule:r.Rule.rid
+                ~now:(Some (timestamp_of st id t))
+                t;
+              r.Rule.body ctx t
+            done)
+      else
+        for i = lo to hi - 1 do
+          r.Rule.body ctx chunk.(i)
+        done);
+  (match st.profiler with
+  | Some p -> Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid ~fires:(hi - lo) p0
+  | None -> ());
+  if st.trace_batch_fire then
+    Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.batch_fire
+      ~arg:(hi - lo) ~ts:t0
+      ~dur:(Jstar_obs.Monotonic.now_ns () - t0)
+
+(* Chunk sort order: the rule's declared join-key fields of the trigger,
+   tie-broken by total tuple order so the sort is deterministic. *)
+let key_cmp pos a b =
+  let fa = Tuple.fields a and fb = Tuple.fields b in
+  let rec go i =
+    if i >= Array.length pos then Tuple.fast_compare a b
+    else
+      let c = Value.compare fa.(pos.(i)) fb.(pos.(i)) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
+(* Phase B over the accepted class: walk the (already grouped) class as
+   contiguous per-table runs and fire each (rule, run) pair as chunks of
+   [Config.grain] triggers — per owner shard under multi-shard
+   execution, so every chunk has a home. *)
+let fire_rules_batch st ctx to_fire =
+  let n = Array.length to_fire in
+  let lo = ref 0 in
+  while !lo < n do
+    let id = (Tuple.schema to_fire.(!lo)).Schema.id in
+    let hi = ref (!lo + 1) in
+    while !hi < n && (Tuple.schema to_fire.(!hi)).Schema.id = id do
+      incr hi
+    done;
+    let rlo = !lo and rhi = !hi in
+    (match st.frozen.Program.rules_by_trigger.(id) with
+    | [] -> ()
+    | rules ->
+        let width = rhi - rlo in
+        let c = Table_stats.counters st.stats id in
+        let grain = grain_for st width in
+        List.iter
+          (fun r ->
+            Table_stats.add c.Table_stats.triggers width;
+            if st.counters_on then
+              Jstar_obs.Metrics.observe st.h_batch_width (float_of_int width);
+            let arr, clo, chi =
+              match st.rule_sort_pos.(r.Rule.rid) with
+              | Some pos when width > 2 ->
+                  let copy = Array.sub to_fire rlo width in
+                  Array.sort (key_cmp pos) copy;
+                  (copy, 0, width)
+              | _ -> (to_fire, rlo, rhi)
+            in
+            let arr, tasks =
+              match st.shard with
+              | Some sh when Shard.count sh > 1 ->
+                  (* Stable-partition the (already join-key-sorted) run
+                     by owner shard: sorted order survives within each
+                     segment, so the probe cursor still sees equal keys
+                     back to back. *)
+                  let nsh = Shard.count sh in
+                  let starts = Array.make (nsh + 1) 0 in
+                  for i = clo to chi - 1 do
+                    let o = Shard.owner_of sh arr.(i) in
+                    starts.(o + 1) <- starts.(o + 1) + 1
+                  done;
+                  for k = 0 to nsh - 1 do
+                    starts.(k + 1) <- starts.(k) + starts.(k + 1)
+                  done;
+                  let part = Array.make width arr.(clo) in
+                  let fill = Array.copy starts in
+                  for i = clo to chi - 1 do
+                    let o = Shard.owner_of sh arr.(i) in
+                    part.(fill.(o)) <- arr.(i);
+                    fill.(o) <- fill.(o) + 1
+                  done;
+                  let tasks = ref [] in
+                  for k = 0 to nsh - 1 do
+                    tasks :=
+                      chunk_tasks ~grain ~home:k starts.(k) starts.(k + 1)
+                        !tasks
+                  done;
+                  (part, !tasks)
+              | Some _ -> (arr, chunk_tasks ~grain ~home:0 clo chi [])
+              | None -> (arr, chunk_tasks ~grain ~home:(-1) clo chi [])
+            in
+            run_tasks st (List.rev tasks) (fun ~home tlo thi ->
+                fire_chunk st ctx r id ~home arr tlo thi))
+          rules);
+    lo := rhi
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Step execution                                                      *)
+
+(* Deterministic side effects for one class: output-table formatting and
+   action handlers run sequentially over the class sorted by tuple
+   order.  Each handler call is a unit of work of its own. *)
+let run_class_effects st ctx tuples =
+  let has_effects =
+    Array.exists
+      (fun t ->
+        let id = (Tuple.schema t).Schema.id in
+        st.frozen.Program.output_fmt.(id) <> None
+        || st.frozen.Program.action_of.(id) <> None)
+      tuples
+  in
+  if has_effects then begin
+    let sorted = Array.copy tuples in
+    Array.sort Tuple.fast_compare sorted;
+    Array.iter
+      (fun t ->
+        let id = (Tuple.schema t).Schema.id in
+        (match st.frozen.Program.output_fmt.(id) with
+        | Some fmt -> ctx.Rule.println (fmt t)
+        | None -> ());
+        match st.frozen.Program.action_of.(id) with
+        | Some handler ->
+            in_unit st ~home:(-1) (fun () ->
+                if st.prov_or_audit then
+                  in_frame (fun fr ->
+                      enter_firing fr ~rule:Prov_frame.action_rule
+                        ~now:(Some (timestamp_of st id t)) t;
+                      handler ctx t)
+                else handler ctx t)
+        | None -> ())
+      sorted
+  end
+
+(* The step barrier's cross-shard watermark exchange.  Every unit has
+   already posted its puts to their owners' mailboxes (arenas flush when
+   their unit ends), so one drain round reaches quiescence: each owner
+   drains its own mailbox into its own sequential Delta — one task per
+   shard, no cross-domain contention on the trees — and draining only
+   inserts, never posts.  Unsharded arenas flush straight into Delta, so
+   there is nothing to do. *)
+let drain_mailboxes st =
   match st.shard with
+  | None -> ()
   | Some sh ->
       let flush_t0 =
         if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0
       in
-      let pending =
-        if st.trace_spans then
-          Array.fold_left (fun acc b -> acc + b.pb_len) 0 st.put_bufs
-        else 0
-      in
+      let pending = if st.trace_spans then Shard.backlog_total sh else 0 in
       let n = Shard.count sh in
-      Array.iteri
-        (fun idx b ->
-          if b.pb_len > 0 then begin
-            (* The message takes ownership of fresh copies; the buffer
-               keeps its capacity for the next step, as in the
-               unsharded flush. *)
-            Shard.post sh ~from:(-1) ~dest:(idx mod n)
-              (Array.sub b.pb_tuples 0 b.pb_len)
-              (Array.sub b.pb_ts 0 b.pb_len)
-              b.pb_len;
-            b.pb_len <- 0
-          end)
-        st.put_bufs;
-      (* All producers have posted (Phase B is over — this runs at the
-         barrier), so one drain round reaches quiescence: draining only
-         inserts into the owner's Delta, never posts. *)
       let ntab = Array.length st.gamma in
       let drain_one k =
         let d0 = if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0 in
@@ -998,656 +1458,6 @@ and flush_puts st =
         Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.barrier_flush
           ~arg:pending ~ts:flush_t0
           ~dur:(Jstar_obs.Monotonic.now_ns () - flush_t0)
-  | None ->
-  if st.config.Config.put_batching then begin
-    (* Stripes hold disjoint items and [Delta.insert_batch] is safe
-       under concurrent insertion, so each stripe can flush as its own
-       task; which copy of a cross-stripe duplicate wins is then racy,
-       but the copies are equal tuples, so nothing observable changes.
-       Stats are aggregated per table first — two atomic ops per stripe
-       and table instead of one per item. *)
-    let flush_t0 = if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0 in
-    let pending =
-      if st.trace_spans then
-        Array.fold_left (fun acc b -> acc + b.pb_len) 0 st.put_bufs
-      else 0
-    in
-    let ntab = Array.length st.gamma in
-    let flush_stripe b =
-      if b.pb_len > 0 then begin
-        let n = b.pb_len in
-        let res = Delta.insert_batch st.delta b.pb_tuples b.pb_ts n in
-        let ins = Array.make ntab 0 and dup = Array.make ntab 0 in
-        for i = 0 to n - 1 do
-          let id = (Tuple.schema b.pb_tuples.(i)).Schema.id in
-          if res.(i) then ins.(id) <- ins.(id) + 1
-          else dup.(id) <- dup.(id) + 1
-        done;
-        b.pb_len <- 0;
-        for id = 0 to ntab - 1 do
-          let c = Table_stats.counters st.stats id in
-          Table_stats.add c.Table_stats.delta_inserts ins.(id);
-          Table_stats.add c.Table_stats.delta_dups dup.(id)
-        done
-      end
-    in
-    (match st.pool with
-    | Some pool ->
-        Jstar_sched.Forkjoin.parallel_for pool ~grain:1 ~lo:0
-          ~hi:(Array.length st.put_bufs) (fun s ->
-            flush_stripe st.put_bufs.(s))
-    | None -> Array.iter flush_stripe st.put_bufs);
-    if st.trace_spans then
-      Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.barrier_flush
-        ~arg:pending ~ts:flush_t0
-        ~dur:(Jstar_obs.Monotonic.now_ns () - flush_t0)
-  end
-
-and fire_rules st ctx tuple =
-  let id = (Tuple.schema tuple).Schema.id in
-  match st.frozen.Program.rules_by_trigger.(id) with
-  | [] -> ()
-  | rules ->
-      let c = Table_stats.counters st.stats id in
-      let t0 = if st.counters_on then Jstar_obs.Monotonic.now_ns () else 0 in
-      (if st.prov_or_audit then begin
-         (* Save/restore the domain's firing frame rather than just
-            setting it: -noDelta puts fire rules synchronously inside
-            the putting task, and a blocking fork/join join can run a
-            stolen firing — both nest on one domain. *)
-         let fr = Prov_frame.get () in
-         let s_rule = fr.Prov_frame.rule
-         and s_now = fr.Prov_frame.now
-         and s_bound = fr.Prov_frame.bound
-         and s_past = fr.Prov_frame.past in
-         let now = Some (timestamp_of st id tuple) in
-         let restore () =
-           fr.Prov_frame.rule <- s_rule;
-           fr.Prov_frame.now <- s_now;
-           fr.Prov_frame.bound <- s_bound;
-           fr.Prov_frame.past <- s_past
-         in
-         try
-           List.iter
-             (fun r ->
-               Table_stats.incr c.Table_stats.triggers;
-               fr.Prov_frame.rule <- r.Rule.rid;
-               fr.Prov_frame.now <- now;
-               fr.Prov_frame.bound <- [ tuple ];
-               fr.Prov_frame.past <- [];
-               match st.profiler with
-               | Some p ->
-                   let p0 = Jstar_obs.Profiler.fire_start p in
-                   r.Rule.body ctx tuple;
-                   Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid p0
-               | None -> r.Rule.body ctx tuple)
-             rules;
-           restore ()
-         with e ->
-           restore ();
-           raise e
-       end
-       else
-         match st.profiler with
-         | Some p ->
-             List.iter
-               (fun r ->
-                 Table_stats.incr c.Table_stats.triggers;
-                 let p0 = Jstar_obs.Profiler.fire_start p in
-                 r.Rule.body ctx tuple;
-                 Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid p0)
-               rules
-         | None ->
-             List.iter
-               (fun r ->
-                 Table_stats.incr c.Table_stats.triggers;
-                 r.Rule.body ctx tuple)
-               rules);
-      if st.counters_on then begin
-        let dur = Jstar_obs.Monotonic.now_ns () - t0 in
-        Jstar_obs.Metrics.observe st.h_rule_latency (float_of_int dur *. 1e-9);
-        if st.trace_rule_fire then
-          Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.rule_fire ~arg:id
-            ~ts:t0 ~dur
-      end
-
-(* Positive-scan wrapping shared by the per-tuple context and the
-   batched cursor: audit each visited tuple, bind it for the duration
-   of the body [f], and — once the scan has completed — retain the
-   visited set in [fr.past] so later puts of the same firing still see
-   the scan's bindings as parents.  Strict (negative/aggregate) scans
-   are not retained: their contribution is the aggregate, not the
-   tuples, and the visited set would be unbounded. *)
-let scan_wrapped st iter f =
-  let fr = Prov_frame.get () in
-  if fr.Prov_frame.rule = Prov_frame.seed_rule then
-    (* outside any firing (inspection after a run) *)
-    iter f
-  else begin
-    let retain = st.prov_on && fr.Prov_frame.strict = 0 in
-    let visited = ref [] in
-    iter (fun t ->
-        if st.audit_on then audit_visit st fr t;
-        if st.prov_on then begin
-          (* The visited tuple is a binding of this body literal for
-             the duration of [f]: any put inside records it as a
-             parent. *)
-          let saved = fr.Prov_frame.bound in
-          fr.Prov_frame.bound <- t :: saved;
-          match f t with
-          | () ->
-              fr.Prov_frame.bound <- saved;
-              if retain then visited := t :: !visited
-          | exception e ->
-              fr.Prov_frame.bound <- saved;
-              raise e
-        end
-        else f t);
-    match !visited with
-    | [] -> ()
-    | vs -> fr.Prov_frame.past <- List.rev_append vs fr.Prov_frame.past
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Batched rule firing (Config.batch_fire): Phase B as vectorized
-   relational algebra.  The accepted class arrives grouped by table;
-   each (rule, table) run is optionally sorted by the rule's declared
-   hash-join key and split into chunks, and each chunk task fires the
-   rule body over its triggers with every fixed cost hoisted out of the
-   per-tuple loop: one firing context, one scratch arena for pending
-   puts (no stripe mutex), one probe cursor that turns a run of
-   equal-key lookups into a single bucket probe, one frame
-   save/restore.  Within-class firing order is free under the law of
-   causality, so none of this changes what any rule observes. *)
-
-let acquire_scratch st =
-  Mutex.lock st.scratch_mutex;
-  let sc =
-    match !(st.scratch_free) with
-    | sc :: rest ->
-        st.scratch_free := rest;
-        sc
-    | [] ->
-        {
-          sc_tuples = [||];
-          sc_ts = [||];
-          sc_len = 0;
-          sc_seen = Tuple.Dset.create 64;
-          sc_dups = 0;
-        }
-  in
-  Mutex.unlock st.scratch_mutex;
-  sc
-
-let release_scratch st sc =
-  Mutex.lock st.scratch_mutex;
-  st.scratch_free := sc :: !(st.scratch_free);
-  Mutex.unlock st.scratch_mutex
-
-let flush_scratch st ~home sc =
-  if sc.sc_len > 0 then begin
-    match st.shard with
-    | Some sh ->
-        (* Sharded: the arena repartitions by owner and ships one
-           message per destination — tuples owned by [home] loop back
-           through its own mailbox (cheap, and it keeps the
-           single-owner invariant on the trees unconditional).  Stats
-           are counted at the drain, where the insert outcome is
-           known. *)
-        Shard.post_partitioned sh ~from:home sc.sc_tuples sc.sc_ts sc.sc_len;
-        sc.sc_len <- 0
-    | None ->
-    (* [Delta.insert_batch] is safe under concurrent insertion, so
-       chunk tasks flush without coordination; stats are aggregated per
-       table first, as in the stripe flush. *)
-    let n = sc.sc_len in
-    let res = Delta.insert_batch st.delta sc.sc_tuples sc.sc_ts n in
-    let ntab = Array.length st.gamma in
-    let ins = Array.make ntab 0 and dup = Array.make ntab 0 in
-    for i = 0 to n - 1 do
-      let id = (Tuple.schema sc.sc_tuples.(i)).Schema.id in
-      if res.(i) then ins.(id) <- ins.(id) + 1 else dup.(id) <- dup.(id) + 1
-    done;
-    sc.sc_len <- 0;
-    for id = 0 to ntab - 1 do
-      if ins.(id) > 0 || dup.(id) > 0 then begin
-        let c = Table_stats.counters st.stats id in
-        Table_stats.add c.Table_stats.delta_inserts ins.(id);
-        Table_stats.add c.Table_stats.delta_dups dup.(id)
-      end
-    done
-  end
-
-(* [route_put] for the batched path: identical head (stats, timestamp,
-   lineage, audit, runtime check, -noDelta immediate fire, Gamma
-   dedup), but pending Delta inserts sink into the task-owned scratch
-   arena with plain stores instead of a striped mutex push. *)
-let route_put_batch st bctx scratch ~home tuple =
-  let schema = Tuple.schema tuple in
-  let id = schema.Schema.id in
-  let c = Table_stats.counters st.stats id in
-  Table_stats.incr c.Table_stats.puts;
-  let ts = timestamp_of st id tuple in
-  (match st.lineage with
-  | Some l -> record_lineage st l tuple
-  | None -> ());
-  if st.audit_on then audit_put st tuple ts;
-  if st.config.Config.runtime_causality_check then
-    (match !(st.current_ts) with
-    | Some now when not (Timestamp.leq now ts) ->
-        audit_fail st ~tuples:[ tuple ]
-          (Fmt.str "rule at %a put %a into the past (%a)" Timestamp.pp now
-             Tuple.pp tuple Timestamp.pp ts)
-    | _ -> ());
-  if st.no_delta.(id) then (
-    if st.gamma.(id).Store.insert tuple then (
-      Table_stats.incr c.Table_stats.gamma_inserts;
-      fire_rules st bctx tuple)
-    else Table_stats.incr c.Table_stats.gamma_dups)
-  else if st.gamma.(id).Store.mem tuple then
-    Table_stats.incr c.Table_stats.gamma_dups
-  else if not (Tuple.Dset.add_if_absent scratch.sc_seen tuple) then begin
-    (* Duplicate of a put already pending from this task: drop it here
-       — same outcome and counter totals as the per-tuple path, which
-       would discover the duplicate inside [Delta.insert]. *)
-    Table_stats.incr c.Table_stats.delta_dups;
-    scratch.sc_dups <- scratch.sc_dups + 1
-  end
-  else begin
-    scratch_push scratch tuple ts;
-    if scratch.sc_len >= scratch_flush_threshold then
-      flush_scratch st ~home scratch
-  end
-
-(* Firing context for one batched chunk task.  Positive queries go
-   through a per-table probe cursor: the sorted chunk probes equal join
-   keys back to back, so a run of lookups against a hash-indexed table
-   costs one bucket probe.  One cursor entry per table (not a single
-   shared slot) so a rule alternating probes across two tables — a
-   positive join on A plus a negative check on B per trigger — keeps
-   both cached instead of thrashing one entry.  Only probe-stable
-   tables (Gamma grows at Phase-A barriers only, never evicts —
-   [st.probe_ok]) may serve cached items; everything else falls through
-   to a plain scan. *)
-let make_batch_ctx st base scratch ~home =
-  let nt = Array.length st.gamma in
-  let cur_prefix : Value.t array option array = Array.make nt None in
-  let cur_items : Tuple.t list array = Array.make nt [] in
-  let rec bctx =
-    {
-      Rule.put = (fun tuple -> route_put_batch st bctx scratch ~home tuple);
-      iter_prefix =
-        (fun schema prefix f ->
-          let id = schema.Schema.id in
-          let c = Table_stats.counters st.stats id in
-          Table_stats.incr c.Table_stats.queries;
-          (match st.advisor with
-          | Some adv -> Advisor.note_query adv id (Array.length prefix)
-          | None -> ());
-          let items =
-            match cur_prefix.(id) with
-            | Some p when Value.equal_arrays prefix p -> Some cur_items.(id)
-            | _ ->
-                if st.probe_ok.(id) then (
-                  match st.gamma.(id).Store.probe_prefix prefix with
-                  | Some items ->
-                      (* Copy: rule bodies may reuse one prefix buffer
-                         across probes, and the cursor must remember
-                         the values probed, not alias the live
-                         buffer. *)
-                      cur_prefix.(id) <- Some (Array.copy prefix);
-                      cur_items.(id) <- items;
-                      Some items
-                  | None -> None)
-                else None
-          in
-          match items with
-          | Some items ->
-              let iter g = List.iter g items in
-              if st.prov_or_audit then scan_wrapped st iter f else iter f
-          | None ->
-              if st.prov_or_audit then
-                scan_wrapped st (st.gamma.(id).Store.iter_prefix prefix) f
-              else st.gamma.(id).Store.iter_prefix prefix f);
-      store_of = base.Rule.store_of;
-      println = base.Rule.println;
-      class_ts = base.Rule.class_ts;
-      par_iter = base.Rule.par_iter;
-      agg = base.Rule.agg;
-    }
-  in
-  bctx
-
-(* Chunk sort order: the rule's declared join-key fields of the trigger,
-   tie-broken by total tuple order so the sort is deterministic. *)
-let key_cmp pos a b =
-  let fa = Tuple.fields a and fb = Tuple.fields b in
-  let rec go i =
-    if i >= Array.length pos then Tuple.fast_compare a b
-    else
-      let c = Value.compare fa.(pos.(i)) fb.(pos.(i)) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
-
-(* Fire rule [r] for [chunk.(lo..hi-1)] as one task.  [home] is the
-   task's owner shard under sharded execution ([-1] unsharded): scratch
-   flushes repartition by owner and ship from [home], so the cross-shard
-   message counters attribute traffic to the producing shard. *)
-let fire_chunk st base r id ~home chunk lo hi =
-  let t0 = if st.trace_batch_fire then Jstar_obs.Monotonic.now_ns () else 0 in
-  (* One profiler frame for the whole chunk, credited [hi - lo] firings:
-     batching amortises the bracket the same way it amortises every
-     other per-firing fixed cost.  Nested immediate (-noDelta) firings
-     inside the chunk open their own frames, so they are excluded from
-     this rule's self time as usual. *)
-  let p0 =
-    match st.profiler with
-    | Some p -> Jstar_obs.Profiler.fire_start p
-    | None -> 0
-  in
-  let scratch = acquire_scratch st in
-  let bctx = make_batch_ctx st base scratch ~home in
-  (if st.prov_or_audit then begin
-     let fr = Prov_frame.get () in
-     let s_rule = fr.Prov_frame.rule
-     and s_now = fr.Prov_frame.now
-     and s_bound = fr.Prov_frame.bound
-     and s_past = fr.Prov_frame.past in
-     let restore () =
-       fr.Prov_frame.rule <- s_rule;
-       fr.Prov_frame.now <- s_now;
-       fr.Prov_frame.bound <- s_bound;
-       fr.Prov_frame.past <- s_past
-     in
-     let mk_now =
-       match st.const_ts.(id) with
-       | Some _ as s -> fun _ -> s
-       | None -> fun t -> Some (Timestamp.of_tuple st.order t)
-     in
-     try
-       for i = lo to hi - 1 do
-         let t = chunk.(i) in
-         fr.Prov_frame.rule <- r.Rule.rid;
-         fr.Prov_frame.now <- mk_now t;
-         fr.Prov_frame.bound <- [ t ];
-         fr.Prov_frame.past <- [];
-         r.Rule.body bctx t
-       done;
-       restore ()
-     with e ->
-       restore ();
-       raise e
-   end
-   else
-     for i = lo to hi - 1 do
-       r.Rule.body bctx chunk.(i)
-     done);
-  flush_scratch st ~home scratch;
-  if scratch.sc_dups > 0 then begin
-    (match st.shard with
-    | Some sh -> Shard.note_deduped sh scratch.sc_dups
-    | None -> Delta.note_deduped st.delta scratch.sc_dups);
-    scratch.sc_dups <- 0
-  end;
-  Tuple.Dset.clear scratch.sc_seen;
-  release_scratch st scratch;
-  (match st.profiler with
-  | Some p -> Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid ~fires:(hi - lo) p0
-  | None -> ());
-  if st.trace_batch_fire then
-    Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.batch_fire
-      ~arg:(hi - lo) ~ts:t0
-      ~dur:(Jstar_obs.Monotonic.now_ns () - t0)
-
-(* Phase B over the accepted class, batched: walk the (already grouped)
-   class as contiguous per-table runs; for each (rule, run) pair,
-   optionally sort a copy of the run by the rule's join key, then fire
-   it as coarse chunk tasks. *)
-let fire_rules_batch st ctx to_fire =
-  let n = Array.length to_fire in
-  let lo = ref 0 in
-  while !lo < n do
-    let id = (Tuple.schema to_fire.(!lo)).Schema.id in
-    let hi = ref (!lo + 1) in
-    while !hi < n && (Tuple.schema to_fire.(!hi)).Schema.id = id do
-      incr hi
-    done;
-    let rlo = !lo and rhi = !hi in
-    (match st.frozen.Program.rules_by_trigger.(id) with
-    | [] -> ()
-    | rules ->
-        let width = rhi - rlo in
-        let c = Table_stats.counters st.stats id in
-        List.iter
-          (fun r ->
-            Table_stats.add c.Table_stats.triggers width;
-            if st.counters_on then
-              Jstar_obs.Metrics.observe st.h_batch_width (float_of_int width);
-            let arr, clo, chi =
-              match st.rule_sort_pos.(r.Rule.rid) with
-              | Some pos when width > 2 ->
-                  let copy = Array.sub to_fire rlo width in
-                  Array.sort (key_cmp pos) copy;
-                  (copy, 0, width)
-              | _ -> (to_fire, rlo, rhi)
-            in
-            let dispatch ~home arr clo chi =
-              match st.pool with
-              | Some pool when chi - clo > 1 ->
-                  let grain = Jstar_sched.Pool.batch_grain pool ~n:width in
-                  let nchunks = (chi - clo + grain - 1) / grain in
-                  if nchunks <= 1 then fire_chunk st ctx r id ~home arr clo chi
-                  else
-                    Jstar_sched.Forkjoin.parallel_for pool ~grain:1 ~lo:0
-                      ~hi:nchunks (fun k ->
-                        let tlo = clo + (k * grain) in
-                        let thi = min chi (tlo + grain) in
-                        fire_chunk st ctx r id ~home arr tlo thi)
-              | _ -> fire_chunk st ctx r id ~home arr clo chi
-            in
-            match st.shard with
-            | Some sh when Shard.count sh > 1 ->
-                (* Per-(rule, table, shard) tasks: stable-partition the
-                   (already join-key-sorted) run by owner shard so each
-                   chunk has a home — sorted order survives within each
-                   segment, so the probe cursor still sees equal keys
-                   back to back. *)
-                let nsh = Shard.count sh in
-                let starts = Array.make (nsh + 1) 0 in
-                for i = clo to chi - 1 do
-                  let o = Shard.owner_of sh arr.(i) in
-                  starts.(o + 1) <- starts.(o + 1) + 1
-                done;
-                for k = 0 to nsh - 1 do
-                  starts.(k + 1) <- starts.(k) + starts.(k + 1)
-                done;
-                let part = Array.make width arr.(clo) in
-                let fill = Array.copy starts in
-                for i = clo to chi - 1 do
-                  let o = Shard.owner_of sh arr.(i) in
-                  part.(fill.(o)) <- arr.(i);
-                  fill.(o) <- fill.(o) + 1
-                done;
-                (match st.pool with
-                | Some pool when width > 1 ->
-                    let grain = Jstar_sched.Pool.batch_grain pool ~n:width in
-                    let tasks = ref [] in
-                    for k = 0 to nsh - 1 do
-                      let shi = starts.(k + 1) in
-                      let tlo = ref starts.(k) in
-                      while !tlo < shi do
-                        let thi = min shi (!tlo + grain) in
-                        tasks := (k, !tlo, thi) :: !tasks;
-                        tlo := thi
-                      done
-                    done;
-                    let tasks = Array.of_list !tasks in
-                    if Array.length tasks <= 1 then
-                      Array.iter
-                        (fun (home, tlo, thi) ->
-                          fire_chunk st ctx r id ~home part tlo thi)
-                        tasks
-                    else
-                      Jstar_sched.Forkjoin.parallel_for pool ~grain:1 ~lo:0
-                        ~hi:(Array.length tasks) (fun i ->
-                          let home, tlo, thi = tasks.(i) in
-                          fire_chunk st ctx r id ~home part tlo thi)
-                | _ ->
-                    for k = 0 to nsh - 1 do
-                      if starts.(k + 1) > starts.(k) then
-                        fire_chunk st ctx r id ~home:k part starts.(k)
-                          starts.(k + 1)
-                    done)
-            | Some _ -> dispatch ~home:0 arr clo chi
-            | None -> dispatch ~home:(-1) arr clo chi)
-          rules);
-    lo := rhi
-  done
-
-let make_ctx st =
-  let rec ctx =
-    {
-      Rule.put = (fun tuple -> route_put st ctx tuple);
-      iter_prefix =
-        (fun schema prefix f ->
-          let id = schema.Schema.id in
-          let c = Table_stats.counters st.stats id in
-          Table_stats.incr c.Table_stats.queries;
-          (match st.advisor with
-          | Some adv -> Advisor.note_query adv id (Array.length prefix)
-          | None -> ());
-          if st.prov_or_audit then
-            scan_wrapped st (st.gamma.(id).Store.iter_prefix prefix) f
-          else st.gamma.(id).Store.iter_prefix prefix f);
-      store_of = (fun schema -> st.gamma.(schema.Schema.id));
-      println =
-        (fun line ->
-          if st.config.Config.print_directly then print_endline line
-          else Jstar_cds.Treiber_stack.push st.out_buf line);
-      class_ts = (fun () -> !(st.current_ts));
-      par_iter =
-        (fun lo hi f ->
-          match st.pool with
-          | Some pool when hi - lo > 1 ->
-              let grain =
-                Config.resolve_grain st.config
-                  ~workers:(Jstar_sched.Pool.size pool) ~n:(hi - lo)
-              in
-              let f =
-                if not st.prov_or_audit then f
-                else begin
-                  (* Leaves may run on other domains: carry the firing
-                     frame (rule, trigger time, bindings so far) to the
-                     executing domain for each leaf, restoring whatever
-                     firing that domain had in flight. *)
-                  let fr = Prov_frame.get () in
-                  let rule = fr.Prov_frame.rule
-                  and now = fr.Prov_frame.now
-                  and bound = fr.Prov_frame.bound
-                  and strict = fr.Prov_frame.strict
-                  and past = fr.Prov_frame.past in
-                  fun i ->
-                    let cfr = Prov_frame.get () in
-                    let s_rule = cfr.Prov_frame.rule
-                    and s_now = cfr.Prov_frame.now
-                    and s_bound = cfr.Prov_frame.bound
-                    and s_strict = cfr.Prov_frame.strict
-                    and s_past = cfr.Prov_frame.past in
-                    cfr.Prov_frame.rule <- rule;
-                    cfr.Prov_frame.now <- now;
-                    cfr.Prov_frame.bound <- bound;
-                    cfr.Prov_frame.strict <- strict;
-                    cfr.Prov_frame.past <- past;
-                    let restore () =
-                      cfr.Prov_frame.rule <- s_rule;
-                      cfr.Prov_frame.now <- s_now;
-                      cfr.Prov_frame.bound <- s_bound;
-                      cfr.Prov_frame.strict <- s_strict;
-                      cfr.Prov_frame.past <- s_past
-                    in
-                    (match f i with
-                    | () -> restore ()
-                    | exception e ->
-                        restore ();
-                        raise e)
-                end
-              in
-              Jstar_sched.Forkjoin.parallel_for pool ~grain ~lo ~hi f
-          | _ ->
-              for i = lo to hi - 1 do
-                f i
-              done);
-      agg = st.agg;
-    }
-  in
-  ctx
-
-(* ------------------------------------------------------------------ *)
-(* Step execution                                                      *)
-
-let for_range_parallel st n f =
-  match st.pool with
-  | None ->
-      for i = 0 to n - 1 do
-        f i
-      done
-  | Some pool ->
-      let grain =
-        Config.resolve_grain st.config ~workers:(Jstar_sched.Pool.size pool)
-          ~n
-      in
-      Jstar_sched.Forkjoin.parallel_for pool ~grain ~lo:0 ~hi:n f
-
-(* Deterministic side effects for one class: output-table formatting and
-   action handlers run sequentially over the class sorted by tuple
-   order. *)
-let run_class_effects st ctx tuples =
-  let has_effects =
-    Array.exists
-      (fun t ->
-        let id = (Tuple.schema t).Schema.id in
-        st.frozen.Program.output_fmt.(id) <> None
-        || st.frozen.Program.action_of.(id) <> None)
-      tuples
-  in
-  if has_effects then begin
-    let sorted = Array.copy tuples in
-    Array.sort Tuple.fast_compare sorted;
-    Array.iter
-      (fun t ->
-        let id = (Tuple.schema t).Schema.id in
-        (match st.frozen.Program.output_fmt.(id) with
-        | Some fmt -> ctx.Rule.println (fmt t)
-        | None -> ());
-        match st.frozen.Program.action_of.(id) with
-        | Some handler ->
-            if st.prov_or_audit then begin
-              let fr = Prov_frame.get () in
-              let s_rule = fr.Prov_frame.rule
-              and s_now = fr.Prov_frame.now
-              and s_bound = fr.Prov_frame.bound
-              and s_past = fr.Prov_frame.past in
-              fr.Prov_frame.rule <- Prov_frame.action_rule;
-              fr.Prov_frame.now <- Some (timestamp_of st id t);
-              fr.Prov_frame.bound <- [ t ];
-              fr.Prov_frame.past <- [];
-              let restore () =
-                fr.Prov_frame.rule <- s_rule;
-                fr.Prov_frame.now <- s_now;
-                fr.Prov_frame.bound <- s_bound;
-                fr.Prov_frame.past <- s_past
-              in
-              match handler ctx t with
-              | () -> restore ()
-              | exception e ->
-                  restore ();
-                  raise e
-            end
-            else handler ctx t
-        | None -> ())
-      sorted
-  end
 
 let flush_step_outputs st =
   match Jstar_cds.Treiber_stack.pop_all st.out_buf with
@@ -1699,74 +1509,56 @@ let run_step st ctx tuples =
   let gamma_t0 = if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0 in
   let t0 = now () in
   let to_fire =
-    if (st.config.Config.put_batching || st.batch_on) && n > 1 then begin
-      (* Batched Phase A.  A class usually comes from one table, and
-         extraction emits each par-subtree's leaf contiguously, so the
-         class is already grouped the way the stores want it: a stable
-         partition by table (identity when the class is single-table) is
-         enough — no comparator sort. *)
-      let first_id = (Tuple.schema tuples.(0)).Schema.id in
-      let single = ref true in
-      for i = 1 to n - 1 do
-        if (Tuple.schema tuples.(i)).Schema.id <> first_id then single := false
-      done;
-      let grouped =
-        if !single then tuples
-        else begin
-          let by_id : (int, Tuple.t list ref) Hashtbl.t = Hashtbl.create 4 in
-          let ids = ref [] in
-          for i = n - 1 downto 0 do
-            let id = (Tuple.schema tuples.(i)).Schema.id in
-            match Hashtbl.find_opt by_id id with
-            | Some cell -> cell := tuples.(i) :: !cell
-            | None ->
-                Hashtbl.replace by_id id (ref [ tuples.(i) ]);
-                ids := id :: !ids
-          done;
-          Array.of_list
-            (List.concat_map (fun id -> !(Hashtbl.find by_id id)) !ids)
-        end
-      in
-      let fired = ref [] in
-      let lo = ref 0 in
-      while !lo < n do
-        let id = (Tuple.schema grouped.(!lo)).Schema.id in
-        let hi = ref (!lo + 1) in
-        while !hi < n && (Tuple.schema grouped.(!hi)).Schema.id = id do
-          incr hi
+    (* A class usually comes from one table, and extraction emits each
+       par-subtree's leaf contiguously, so the class is already grouped
+       the way the stores want it: a stable partition by table (identity
+       when the class is single-table) is enough — no comparator sort. *)
+    let first_id = (Tuple.schema tuples.(0)).Schema.id in
+    let single = ref true in
+    for i = 1 to n - 1 do
+      if (Tuple.schema tuples.(i)).Schema.id <> first_id then single := false
+    done;
+    let grouped =
+      if !single then tuples
+      else begin
+        let by_id : (int, Tuple.t list ref) Hashtbl.t = Hashtbl.create 4 in
+        let ids = ref [] in
+        for i = n - 1 downto 0 do
+          let id = (Tuple.schema tuples.(i)).Schema.id in
+          match Hashtbl.find_opt by_id id with
+          | Some cell -> cell := tuples.(i) :: !cell
+          | None ->
+              Hashtbl.replace by_id id (ref [ tuples.(i) ]);
+              ids := id :: !ids
         done;
-        let res = st.gamma.(id).Store.insert_batch grouped !lo !hi in
-        let c = Table_stats.counters st.stats id in
-        Array.iteri
-          (fun k inserted ->
-            if inserted then begin
-              Table_stats.incr c.Table_stats.gamma_inserts;
-              fired := grouped.(!lo + k) :: !fired
-            end
-            else
-              (* Raced back into Delta after processing. *)
-              Table_stats.incr c.Table_stats.gamma_dups)
-          res;
-        lo := !hi
+        Array.of_list
+          (List.concat_map (fun id -> !(Hashtbl.find by_id id)) !ids)
+      end
+    in
+    let fired = ref [] in
+    let lo = ref 0 in
+    while !lo < n do
+      let id = (Tuple.schema grouped.(!lo)).Schema.id in
+      let hi = ref (!lo + 1) in
+      while !hi < n && (Tuple.schema grouped.(!hi)).Schema.id = id do
+        incr hi
       done;
-      Array.of_list (List.rev !fired)
-    end
-    else begin
-      let survivors = Array.make n None in
-      for_range_parallel st n (fun i ->
-          let t = tuples.(i) in
-          let id = (Tuple.schema t).Schema.id in
-          let c = Table_stats.counters st.stats id in
-          if st.gamma.(id).Store.insert t then begin
+      let res = st.gamma.(id).Store.insert_batch grouped !lo !hi in
+      let c = Table_stats.counters st.stats id in
+      Array.iteri
+        (fun k inserted ->
+          if inserted then begin
             Table_stats.incr c.Table_stats.gamma_inserts;
-            survivors.(i) <- Some t
+            fired := grouped.(!lo + k) :: !fired
           end
           else
             (* Raced back into Delta after processing: set-semantics
                drop. *)
-            Table_stats.incr c.Table_stats.gamma_dups);
-      Array.of_list (List.filter_map Fun.id (Array.to_list survivors))
-    end
+            Table_stats.incr c.Table_stats.gamma_dups)
+        res;
+      lo := !hi
+    done;
+    Array.of_list (List.rev !fired)
   in
   st.phases.t_gamma <- st.phases.t_gamma +. (now () -. t0);
   if st.trace_spans then
@@ -1780,78 +1572,13 @@ let run_step st ctx tuples =
   | Some agg -> Agg_cache.note_batch agg to_fire (Array.length to_fire)
   | None -> ());
   run_class_effects st ctx tuples;
-  (* Phase B: fire all rules of the class in parallel — one task per
-     tuple by default, one per (tuple, rule) pair under the §5.2
-     [task_per_rule] strategy, or as vectorized (rule, table)-chunk
-     tasks under [Config.batch_fire]. *)
+  (* Phase B: fire all rules of the class, chunked by [Config.grain]. *)
   let t1 = now () in
-  if st.batch_on && Array.length to_fire > 1 then
-    fire_rules_batch st ctx to_fire
-  else if st.config.Config.task_per_rule then begin
-    let pairs =
-      Array.of_list
-        (List.concat_map
-           (fun t ->
-             List.map
-               (fun r -> (t, r))
-               st.frozen.Program.rules_by_trigger.((Tuple.schema t).Schema.id))
-           (Array.to_list to_fire))
-    in
-    for_range_parallel st (Array.length pairs) (fun i ->
-        let t, r = pairs.(i) in
-        let id = (Tuple.schema t).Schema.id in
-        Table_stats.incr
-          (Table_stats.counters st.stats id).Table_stats.triggers;
-        let f0 =
-          if st.counters_on then Jstar_obs.Monotonic.now_ns () else 0
-        in
-        let p0 =
-          match st.profiler with
-          | Some p -> Jstar_obs.Profiler.fire_start p
-          | None -> 0
-        in
-        (if st.prov_or_audit then begin
-           let fr = Prov_frame.get () in
-           let s_rule = fr.Prov_frame.rule
-           and s_now = fr.Prov_frame.now
-           and s_bound = fr.Prov_frame.bound
-           and s_past = fr.Prov_frame.past in
-           fr.Prov_frame.rule <- r.Rule.rid;
-           fr.Prov_frame.now <- Some (timestamp_of st id t);
-           fr.Prov_frame.bound <- [ t ];
-           fr.Prov_frame.past <- [];
-           let restore () =
-             fr.Prov_frame.rule <- s_rule;
-             fr.Prov_frame.now <- s_now;
-             fr.Prov_frame.bound <- s_bound;
-             fr.Prov_frame.past <- s_past
-           in
-           match r.Rule.body ctx t with
-           | () -> restore ()
-           | exception e ->
-               restore ();
-               raise e
-         end
-         else r.Rule.body ctx t);
-        (match st.profiler with
-        | Some p -> Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid p0
-        | None -> ());
-        if st.counters_on then begin
-          let dur = Jstar_obs.Monotonic.now_ns () - f0 in
-          Jstar_obs.Metrics.observe st.h_rule_latency
-            (float_of_int dur *. 1e-9);
-          if st.trace_rule_fire then
-            Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.rule_fire
-              ~arg:id ~ts:f0 ~dur
-        end)
-  end
-  else
-    for_range_parallel st (Array.length to_fire) (fun i ->
-        fire_rules st ctx to_fire.(i));
+  fire_rules_batch st ctx to_fire;
   st.phases.t_rules <- st.phases.t_rules +. (now () -. t1);
   (* Barrier: everything the class put becomes pending before the next
      class is extracted. *)
-  flush_puts st;
+  drain_mailboxes st;
   flush_step_outputs st;
   merge_lineage st;
   (* End-of-step barrier: no rule task is live, so the advisor may
@@ -1993,8 +1720,8 @@ let pending_deduped st =
 let run_state st ~init =
   let t_start = now () in
   let ctx = make_ctx st in
-  List.iter (fun t -> route_put st ctx t) init;
-  flush_puts st;
+  in_unit st ~home:(-1) (fun () -> List.iter (route_put st ctx) init);
+  drain_mailboxes st;
   flush_step_outputs st;
   merge_lineage st;
   let steps = ref 0 in
@@ -2069,7 +1796,9 @@ let start frozen config =
 
 let feed session tuples =
   if session.finished then invalid_arg "Engine.feed: session finished";
-  List.iter (fun t -> route_put session.st session.ctx t) tuples
+  (* One unit per call: the feed's puts reach Delta when it returns. *)
+  in_unit session.st ~home:(-1) (fun () ->
+      List.iter (route_put session.st session.ctx) tuples)
 
 let drain session =
   if session.finished then invalid_arg "Engine.drain: session finished";
@@ -2077,7 +1806,7 @@ let drain session =
   let drain_t0 =
     if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0
   in
-  flush_puts st;
+  drain_mailboxes st;
   flush_step_outputs st;
   let rec loop () =
     let e0 = if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0 in
@@ -2098,6 +1827,8 @@ let drain session =
         loop ()
   in
   loop ();
+  (* Quiescent: the run is over, see [audit_put]. *)
+  st.current_ts := None;
   merge_lineage st;
   if st.trace_spans then
     Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.drain
@@ -2248,10 +1979,9 @@ let load_tuple session tuple =
 
 let session_pending session =
   let st = session.st in
-  (match st.shard with
+  match st.shard with
   | Some sh -> Shard.size sh + Shard.backlog_total sh
-  | None -> Delta.size st.delta)
-  + Array.fold_left (fun acc b -> acc + b.pb_len) 0 st.put_bufs
+  | None -> Delta.size st.delta
 
 let stored_tables session =
   let st = session.st in

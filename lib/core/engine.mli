@@ -1,17 +1,23 @@
 (** The pseudo-naive bottom-up execution engine.
 
     Each step removes one minimal equivalence class from the Delta tree,
-    inserts it into Gamma (parallel barrier), runs deterministic class
-    effects (output formatting, action handlers), then fires all
-    triggered rules (parallel barrier).  Tuples already present in Gamma
-    or Delta are dropped (set semantics). *)
+    inserts it into Gamma (one batched insert per table), runs
+    deterministic class effects (output formatting, action handlers),
+    then fires all triggered rules as chunks of [Config.grain] triggers
+    (parallel barrier).  Every put lands in the scratch arena of the
+    unit of work that made it — a firing chunk, a [par_iter] leaf, or
+    one {!feed}, initial-put or action-handler call — and reaches Delta
+    when that unit ends.  Tuples already present in Gamma or Delta are
+    dropped (set semantics). *)
 
 exception Causality_violation of string
-(** Raised (when [runtime_causality_check] is on) by a put whose tuple's
-    timestamp precedes the executing class — a rule changing the past.
-    Also raised by the runtime auditor ([audit_causality]) when a firing
-    reads tuples the law forbids: a positive query visiting later than
-    its trigger, or a negative/aggregate query visiting at or later. *)
+(** Raised by the runtime auditor ([Config.audit_causality]) when a put
+    changes the past — its tuple's timestamp precedes its trigger's, or,
+    outside any firing (a {!feed} from a step hook), the class the
+    running drain executed last — or when a firing reads tuples the law
+    forbids: a positive query visiting later
+    than its trigger, or a negative/aggregate query visiting at or
+    later. *)
 
 exception Step_limit_exceeded of int
 (** Raised when [max_steps] is configured and exceeded. *)
@@ -86,7 +92,8 @@ type session
 
 val start : Program.frozen -> Config.t -> session
 val feed : session -> Tuple.t list -> unit
-(** Enqueue external input tuples (routed like any put). *)
+(** Enqueue external input tuples (routed like any put).  One call is
+    one unit of work: its puts reach Delta when it returns. *)
 
 val drain : session -> string list
 (** Run to quiescence; returns the outputs produced by this drain. *)
@@ -189,7 +196,8 @@ val load_tuple : session -> Tuple.t -> unit
     tuples are never snapshotted. *)
 
 val session_pending : session -> int
-(** Tuples waiting in Delta or the put buffers.  Zero after a drain;
+(** Tuples waiting in Delta (or, sharded, in shard mailboxes).  Zero
+    after a drain;
     a checkpoint taken while nonzero would silently drop them, so the
     persistence layer refuses. *)
 

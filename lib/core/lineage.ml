@@ -37,7 +37,7 @@ type arena = {
 }
 
 type t = {
-  arenas : arena array; (* striped by domain id, like the put buffers *)
+  arenas : arena array; (* striped by domain id *)
   best : record Tuple.Tbl.t; (* merged minimum candidate per tuple *)
   mutable recorded : int; (* candidates appended, lifetime *)
   mutable merged : int; (* candidates drained through [merge] *)

@@ -18,8 +18,8 @@ type record = {
 type t
 
 val create : stripes:int -> t
-(** [stripes] must be a power of two (the engine passes its put-stripe
-    count). *)
+(** [stripes] must be a power of two (the engine scales it with its
+    thread count). *)
 
 val record :
   t -> rule:int -> step:int -> parents:Tuple.t array -> Tuple.t -> unit

@@ -95,7 +95,7 @@ let delta t k = t.deltas.(k)
 (* [post] takes ownership of the arrays (messages outlive the
    producer's reusable buffers, so the caller hands over fresh
    storage).  [from] is the producer's shard, or [-1] when unknown
-   (external feeds, striped put buffers). *)
+   (external feeds, initial puts, action handlers). *)
 let post t ~from ~dest tuples ts len =
   if len > 0 then begin
     Atomic.incr t.backlog.(dest);

@@ -47,8 +47,8 @@ val delta : t -> int -> Delta.t
 val post : t -> from:int -> dest:int -> Tuple.t array -> Timestamp.t array -> int -> unit
 (** Ship a message to [dest]'s mailbox, taking ownership of the
     arrays.  [from] is the producing shard, or [-1] when unknown
-    (external feeds, striped put buffers); a known [from <> dest]
-    counts as cross-shard traffic.  Every message draws the next
+    (external feeds, initial puts, action handlers); a known [from <>
+    dest] counts as cross-shard traffic.  Every message draws the next
     sequence stamp and is reported to the {!set_on_post} observer. *)
 
 val set_on_post : t -> (src:int -> dest:int -> seq:int -> len:int -> unit) -> unit

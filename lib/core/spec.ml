@@ -58,9 +58,8 @@ type read_spec = {
       (* the leading key fields the rule's body passes as the query
          prefix, as expressions over the trigger tuple ([Field] entries
          for a plain hash join).  Purely descriptive for the checker;
-         the batched firing path ([Config.batch_fire]) uses it to sort
-         each (rule, table) chunk by join key so equal probes become
-         one cursor hit.  Empty = undeclared (no sort). *)
+         Phase B uses it to sort each (rule, table) run by join key so
+         equal probes become one cursor hit.  Empty = undeclared (no sort). *)
 }
 
 type put_spec = {

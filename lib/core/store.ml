@@ -66,8 +66,7 @@ let lower_bound_fields schema prefix =
    field comparator, so the per-comparison cost is one closure call with
    monomorphic fast paths — no option lookup, no per-field dispatch.
    (The generic [Tuple.compare] alternative was retired after the
-   hot-path ablation priced it; [Config.specialized_compare] is a
-   no-op kept for config compatibility.) *)
+   hot-path ablation priced it.) *)
 let tuple_cmp schema =
   let fc = Schema.fields_compare schema in
   fun a b ->

@@ -56,7 +56,7 @@ val no_probe : Value.t array -> Tuple.t list option
 (** The builders below always use the schema-compiled comparator and
     the cached-hash dedup tables.  (They once took a [?specialized]
     flag selecting a generic [Value.compare] / polymorphic-hash path;
-    that path is retired and [Config.specialized_compare] is a no-op.) *)
+    that path is retired.) *)
 
 val tree : Schema.t -> t
 val skiplist : Schema.t -> t

@@ -82,7 +82,7 @@ let compare a b =
   if c <> 0 then c else Value.compare_arrays a.fields b.fields
 
 (* Same order as [compare], through the schema-compiled monomorphic
-   comparator — the hot-path variant behind [Config.specialized_compare]. *)
+   comparator — the hot-path variant. *)
 let fast_compare a b =
   if a == b then 0
   else
@@ -183,9 +183,16 @@ module Dset = struct
   let fold f s acc =
     Array.fold_left (fun acc chain -> List.fold_left f acc chain) acc s.buckets
 
+  (* Costs what the set holds, not what it once held: capacities only
+     grow, so a sparse table is replaced by one sized to its contents
+     instead of being filled end to end. *)
   let clear s =
-    Array.fill s.buckets 0 (Array.length s.buckets) [];
-    s.size <- 0
+    if s.size > 0 then begin
+      let cap = Array.length s.buckets in
+      if cap > 8 * s.size then s.buckets <- (create s.size).buckets
+      else Array.fill s.buckets 0 cap [];
+      s.size <- 0
+    end
 end
 
 let pp ppf t =

@@ -69,6 +69,8 @@ module Dset : sig
   val length : t -> int
   val fold : ('a -> tuple -> 'a) -> t -> 'a -> 'a
   val clear : t -> unit
+  (** Empty the set, in time proportional to its size (a sparse bucket
+      array is replaced rather than filled). *)
 end
 
 val pp : Format.formatter -> t -> unit

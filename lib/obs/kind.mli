@@ -11,9 +11,13 @@ val extract : t  (** Delta extract-min-class *)
 
 val gamma_insert : t  (** Phase A: class insertion into Gamma *)
 
-val rule_fire : t  (** Phase B: one tuple's rules firing *)
+val rule_fire : t
+(** immediate firing of one -noDelta tuple's rules, inside the unit
+    that put it (chunked Phase B firing records {!batch_fire}) *)
 
-val barrier_flush : t  (** batched-put flush at a step barrier *)
+val barrier_flush : t
+(** cross-shard mailbox exchange at a step barrier (sharded runs only);
+    the span arg is the queued message count *)
 
 val drain : t  (** one session drain to quiescence *)
 
@@ -35,8 +39,8 @@ val advisor_demote : t
 (** store advisor dropped a cold secondary index (instant) *)
 
 val batch_fire : t
-(** Phase B batched firing: one (rule, table)-chunk task of a
-    vectorized class execution; the span arg is the chunk width *)
+(** Phase B firing: one (rule, table)-chunk unit of a class execution;
+    the span arg is the chunk width *)
 
 val shard_msg : t
 (** one cross-shard mailbox message, recorded as a linked flow pair:

@@ -70,14 +70,6 @@ let my_worker pool =
 
 let size pool = pool.size
 
-(* Grain for batched (rule, table)-chunk tasks: coarser than the
-   per-tuple Auto_grain because each iteration is a whole firing whose
-   setup (frame save, cursor, scratch acquisition) is amortised across
-   the chunk — a floor of 64 keeps small classes from forking tasks
-   that cost more than they cover, while n / (2 * workers) still yields
-   enough chunks for stealing to balance skewed rules. *)
-let batch_grain pool ~n = max 64 (n / (2 * pool.size))
-
 (* ------------------------------------------------------------------ *)
 (* Task acquisition                                                    *)
 

@@ -25,12 +25,6 @@ val create : num_workers:int -> ?tracer:Jstar_obs.Tracer.t -> unit -> t
 val size : t -> int
 (** Total parallelism of the pool, including the caller slot. *)
 
-val batch_grain : t -> n:int -> int
-(** Leaf size for batched (rule, table)-chunk firing tasks:
-    [max 64 (n / (2 * size))].  Coarser than the per-tuple grain —
-    each iteration is a whole firing whose fixed costs the chunk
-    amortises, so leaves must be wide enough to pay for a fork. *)
-
 type stats = {
   tasks : int;  (** tasks executed by registered workers *)
   steals : int;  (** successful Chase-Lev steals *)

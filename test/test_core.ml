@@ -767,10 +767,90 @@ let test_engine_runtime_causality () =
   let init = [ Tuple.make t [| v_int 1 |] ] in
   (match
      Engine.run_program ~init p
-       { Config.default with runtime_causality_check = true }
+       { Config.default with audit_causality = true }
    with
   | exception Engine.Causality_violation _ -> ()
-  | _ -> Alcotest.fail "expected Causality_violation")
+  | _ -> Alcotest.fail "expected Causality_violation");
+  (* Outside any firing the auditor checks a put against the class the
+     running drain executed last: a feed from a step hook behind it
+     raises.  A drain that reaches quiescence ends the run, so the next
+     session feed may sort before the classes already run. *)
+  let p = Program.create () in
+  let t =
+    Program.table p "T" ~columns:Schema.[ int_col "step" ]
+      ~orderby:Schema.[ Lit "Int"; Seq "step" ] ()
+  in
+  let session = ref None in
+  let hook step _ =
+    match !session with
+    | Some s when step = 2 -> Engine.feed s [ Tuple.make t [| v_int 2 |] ]
+    | _ -> ()
+  in
+  let s =
+    Engine.start (Program.freeze p)
+      { Config.default with audit_causality = true; step_hook = Some hook }
+  in
+  session := Some s;
+  Engine.feed s [ Tuple.make t [| v_int 5 |] ];
+  ignore (Engine.drain s);
+  Engine.feed s [ Tuple.make t [| v_int 3 |]; Tuple.make t [| v_int 6 |] ];
+  (match Engine.drain s with
+  | exception Engine.Causality_violation _ -> ()
+  | _ -> Alcotest.fail "feed behind the running drain's last class accepted");
+  ignore (Engine.finish s)
+
+(* An event stream under the auditor: each tick feeds Tick(t) and its
+   Readings, then drains.  Tick sorts before Reading, so every tick's
+   feed is behind the previous tick's last class; the quiescent drain
+   between them makes that legal, and the rule reads nothing later
+   than its trigger. *)
+let test_engine_audited_stream () =
+  List.iter
+    (fun threads ->
+      let p = Program.create () in
+      let tick =
+        Program.table p "Tick" ~columns:Schema.[ int_col "t" ]
+          ~orderby:Schema.[ Lit "Tick"; Seq "t" ] ()
+      in
+      let reading =
+        Program.table p "Reading"
+          ~columns:Schema.[ int_col "t"; int_col "sensor"; int_col "value" ]
+          ~orderby:Schema.[ Lit "Reading"; Seq "t" ] ()
+      in
+      let alarm =
+        Program.table p "Alarm"
+          ~columns:Schema.[ int_col "t"; int_col "sensor"; int_col "value" ]
+          ~orderby:Schema.[ Lit "Alarm"; Seq "t" ] ()
+      in
+      Program.order p [ "Tick"; "Reading"; "Alarm" ];
+      Program.rule p "alarm" ~trigger:reading (fun ctx r ->
+          if Tuple.int r "value" >= 90 then
+            ctx.Rule.put
+              (Tuple.make alarm
+                 [| Tuple.get r 0; Tuple.get r 1; Tuple.get r 2 |]));
+      Program.output p alarm (fun a ->
+          Printf.sprintf "alarm %d %d" (Tuple.int a "t") (Tuple.int a "sensor"));
+      let config =
+        { (Config.parallel ~threads ()) with Config.audit_causality = true }
+      in
+      let s = Engine.start (Program.freeze p) config in
+      let value t sensor = ((t * 31) + (sensor * 17)) mod 100 in
+      let expected = ref 0 and alarms = ref 0 in
+      for t = 0 to 9 do
+        Engine.feed s
+          (Tuple.make tick [| v_int t |]
+          :: List.init 8 (fun sensor ->
+                 if value t sensor >= 90 then incr expected;
+                 Tuple.make reading
+                   [| v_int t; v_int sensor; v_int (value t sensor) |]));
+        alarms := !alarms + List.length (Engine.drain s)
+      done;
+      ignore (Engine.finish s);
+      Alcotest.(check bool) "some alarms" true (!expected > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "alarms at %d threads" threads)
+        !expected !alarms)
+    [ 1; 2 ]
 
 let test_engine_custom_store_override () =
   (* Swap the Gamma store of a table via config only — no program change. *)
@@ -934,6 +1014,7 @@ let suite =
         tc "-noDelta bypass" `Quick test_engine_no_delta;
         tc "-noGamma trigger-only" `Quick test_engine_no_gamma;
         tc "runtime causality check" `Quick test_engine_runtime_causality;
+        tc "audited event stream" `Quick test_engine_audited_stream;
         tc "store override via config" `Quick test_engine_custom_store_override;
         tc "action handlers" `Quick test_engine_action_handler;
         tc "frozen program locked" `Quick test_engine_frozen_program_rejects_additions;

@@ -283,7 +283,6 @@ let test_flow_export () =
     {
       Config.default with
       Config.shards = 2;
-      put_batching = true;
       tracing = Level.Spans;
     }
   in
@@ -478,7 +477,7 @@ let test_violation_bundle () =
   let config =
     {
       Config.default with
-      Config.runtime_causality_check = true;
+      Config.audit_causality = true;
       provenance = true;
     }
   in
@@ -587,7 +586,6 @@ let diag_config ~threads ~shards ~step_hook =
   {
     (Config.parallel ~threads ()) with
     Config.shards;
-    put_batching = true;
     tracing = Level.Counters;
     digest = true;
     step_hook;

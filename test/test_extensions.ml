@@ -1,6 +1,7 @@
 (* Tests for the paper's optional/extension features:
    - event-driven sessions (§3: external input tuples over time);
-   - task-per-rule firing and intra-rule parallel loops (§5.2);
+   - task-per-rule firing ([grain = Fixed 1]) and intra-rule parallel
+     loops (§5.2);
    - windowed stores (manual lifetime hints, Fig 3 step 4). *)
 
 open Jstar_core
@@ -88,7 +89,7 @@ let test_session_parallel_matches_sequential () =
   Alcotest.(check (list string)) "session deterministic" (run 1) (run 2)
 
 (* ------------------------------------------------------------------ *)
-(* Task-per-rule strategy (§5.2) *)
+(* Task-per-rule strategy (§5.2): one chunk per (tuple, rule) *)
 
 let multi_rule_program () =
   let p = Program.create () in
@@ -113,32 +114,41 @@ let multi_rule_program () =
   Program.output p out_b (fun t -> Printf.sprintf "b%d" (Tuple.int t "x"));
   (p, src)
 
+(* threads x both ends of the grain range *)
+let grain_grid =
+  List.concat_map
+    (fun threads ->
+      List.map
+        (fun grain -> { (Config.parallel ~threads ()) with Config.grain })
+        [ Config.Auto_grain; Fixed 1 ])
+    [ 1; 2; 4 ]
+
 let test_task_per_rule_equivalent () =
   let p, src = multi_rule_program () in
   let init = List.init 20 (fun i -> Tuple.make src [| v_int i |]) in
   let frozen = Program.freeze p in
-  let base = Engine.run ~init frozen (Config.parallel ~threads:2 ()) in
-  let per_rule =
-    Engine.run ~init frozen
-      { (Config.parallel ~threads:2 ()) with Config.task_per_rule = true }
-  in
-  Alcotest.(check (list string)) "same outputs" base.Engine.outputs
-    per_rule.Engine.outputs;
+  let base = Engine.run ~init frozen Config.default in
+  List.iter
+    (fun config ->
+      Alcotest.(check (list string)) "same outputs" base.Engine.outputs
+        (Engine.run ~init frozen config).Engine.outputs)
+    grain_grid;
   Alcotest.(check bool) "something was produced" true
     (List.length base.Engine.outputs > 0)
 
 let test_task_per_rule_counts_triggers () =
   let p, src = multi_rule_program () in
   let init = List.init 10 (fun i -> Tuple.make src [| v_int i |]) in
-  let r =
-    Engine.run ~init (Program.freeze p)
-      { Config.default with Config.task_per_rule = true }
-  in
-  match Table_stats.get r.Engine.stats "Src" with
-  | Some c ->
-      Alcotest.(check int) "two rule firings per Src tuple" 20
-        (Table_stats.read c.Table_stats.triggers)
-  | None -> Alcotest.fail "no stats"
+  let frozen = Program.freeze p in
+  List.iter
+    (fun config ->
+      let r = Engine.run ~init frozen config in
+      match Table_stats.get r.Engine.stats "Src" with
+      | Some c ->
+          Alcotest.(check int) "two rule firings per Src tuple" 20
+            (Table_stats.read c.Table_stats.triggers)
+      | None -> Alcotest.fail "no stats")
+    grain_grid
 
 (* ------------------------------------------------------------------ *)
 (* Intra-rule parallel loops (§5.2) *)
@@ -165,7 +175,31 @@ let test_par_iter_inside_rule () =
             Alcotest.failf "threads=%d: index %d hit %d times" threads i
               (Atomic.get a))
         hits)
-    [ 1; 2 ]
+    [ 1; 2 ];
+  (* Puts from leaves: leaves run on other domains, so each must land in
+     an arena of its own — never in the firing chunk's single-owner
+     one.  Four triggers put [per] distinct tuples each. *)
+  let p = Program.create () in
+  let src =
+    Program.table p "Src" ~columns:Schema.[ int_col "k" ]
+      ~orderby:Schema.[ Lit "Src" ] ()
+  in
+  let out =
+    Program.table p "Out" ~columns:Schema.[ int_col "k"; int_col "i" ]
+      ~orderby:Schema.[ Lit "Out" ] ()
+  in
+  Program.order p [ "Src"; "Out" ];
+  let per = 20_000 in
+  Program.rule p "fan_out" ~trigger:src (fun ctx s ->
+      ctx.Rule.par_iter 0 per (fun i ->
+          ctx.Rule.put (Tuple.make out [| Tuple.get s 0; v_int i |])));
+  let init = List.init 4 (fun k -> Tuple.make src [| v_int k |]) in
+  let _, gamma =
+    Engine.run_with_gamma ~init (Program.freeze p)
+      (Config.parallel ~threads:2 ())
+  in
+  Alcotest.(check int) "every leaf put stored" (4 * per)
+    ((gamma out).Store.size ())
 
 (* ------------------------------------------------------------------ *)
 (* Windowed store *)

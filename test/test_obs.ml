@@ -8,8 +8,8 @@ open Jstar_obs
 let v_int i = Value.Int i
 
 (* A deterministic chain program: T(x) puts T(x+1) until x = last.
-   With threads = 1 every class is a single tuple, so event counts are
-   exact functions of the chain length. *)
+   Every class is a single tuple, so event counts are exact functions
+   of the chain length. *)
 let chain_program ~last =
   let p = Program.create () in
   let t =
@@ -22,7 +22,7 @@ let chain_program ~last =
       let x = Tuple.int tuple "x" in
       if x < last then ctx.Rule.put (Tuple.make t [| v_int (x + 1) |]));
   (* A second rule on the same trigger so multi-rule tuples are
-     exercised (still one rule-fire span per tuple). *)
+     exercised (one batch-fire chunk per rule and tuple). *)
   Program.rule p "count" ~trigger:t (fun _ _ -> ());
   (p, t)
 
@@ -64,13 +64,7 @@ let test_tracer_ring_wrap_drops () =
 (* Exact event counts on the fixed chain, threads = 1 *)
 
 let test_exact_event_counts () =
-  let config =
-    {
-      Config.default with
-      Config.put_batching = true;
-      tracing = Level.Spans;
-    }
-  in
+  let config = { Config.default with Config.tracing = Level.Spans } in
   let result = run_chain ~last:5 config in
   Alcotest.(check int) "six steps" 6 result.Engine.steps;
   let counts = Array.make Kind.builtin_count 0 in
@@ -82,22 +76,26 @@ let test_exact_event_counts () =
   Alcotest.(check int) "extract spans = steps + final empty" 7
     (count Kind.extract);
   Alcotest.(check int) "gamma-insert span per step" 6 (count Kind.gamma_insert);
-  Alcotest.(check int) "rule-fire span per fired tuple" 6 (count Kind.rule_fire);
-  Alcotest.(check int) "barrier flush per step + initial" 7
+  Alcotest.(check int) "batch-fire span per fired tuple and rule" 12
+    (count Kind.batch_fire);
+  (* rule-fire spans cover -noDelta immediate firings only, and an
+     unsharded run has no barrier exchange: arenas flush as their unit
+     ends *)
+  Alcotest.(check int) "no rule-fire spans" 0 (count Kind.rule_fire);
+  Alcotest.(check int) "no barrier flush unsharded" 0
     (count Kind.barrier_flush);
   Alcotest.(check int) "nothing dropped" 0 (Tracer.dropped result.Engine.tracer)
 
 (* ------------------------------------------------------------------ *)
-(* The per-kind suppress mask: rule-fire spans can be dropped while
-   step/extract spans stay on — the knob for rule-fire-heavy runs. *)
+(* The per-kind suppress mask: per-firing spans can be dropped while
+   step/extract spans stay on — the knob for firing-heavy runs. *)
 
 let test_suppress_mask_engine () =
   let config =
     {
       Config.default with
-      Config.put_batching = true;
-      tracing = Level.Spans;
-      trace_suppress = [ "rule-fire" ];
+      Config.tracing = Level.Spans;
+      trace_suppress = [ "batch-fire" ];
     }
   in
   let result = run_chain ~last:5 config in
@@ -106,7 +104,7 @@ let test_suppress_mask_engine () =
     (fun ~tid:_ ~kind ~ts:_ ~dur:_ ~arg:_ ->
       if kind < Kind.builtin_count then counts.(kind) <- counts.(kind) + 1);
   let count k = counts.(Kind.to_int k) in
-  Alcotest.(check int) "rule-fire suppressed" 0 (count Kind.rule_fire);
+  Alcotest.(check int) "batch-fire suppressed" 0 (count Kind.batch_fire);
   Alcotest.(check int) "step spans kept" 6 (count Kind.step);
   Alcotest.(check int) "extract spans kept" 7 (count Kind.extract)
 
@@ -292,7 +290,7 @@ let suite =
     ( "obs.tracer",
       [
         tc "exact event counts, threads=1" `Quick test_exact_event_counts;
-        tc "suppress mask drops rule-fire only" `Quick
+        tc "suppress mask drops batch-fire only" `Quick
           test_suppress_mask_engine;
         tc "suppress mask unit contract" `Quick test_suppress_mask_unit;
         tc "disabled tracer allocates nothing" `Quick

@@ -295,8 +295,8 @@ let prop_solver_sound =
       else true)
 
 (* ------------------------------------------------------------------ *)
-(* Hot-path knobs (put batching, query acceleration, adaptive grain)
-   are pure optimizations: every combination, at every thread count,
+(* Hot-path knobs (firing grain, query acceleration) are pure
+   optimizations: every combination, at every thread count,
    must print exactly the same lines.  Outputs are sorted per step by
    the engine, so plain list equality is the right check.  The [accel]
    axis turns on the aggregate cache plus an aggressive advisor (tiny
@@ -307,15 +307,15 @@ let knob_grid =
   List.concat_map
     (fun threads ->
       List.concat_map
-        (fun batching ->
-          List.map (fun accel -> (threads, batching, accel)) [ false; true ])
-        [ false; true ])
+        (fun grain ->
+          List.map (fun accel -> (threads, grain, accel)) [ false; true ])
+        [ Config.Auto_grain; Fixed 1 ])
     [ 1; 2; 4 ]
 
-let with_knobs base (batching, accel) =
+let with_knobs base (grain, accel) =
   {
     base with
-    Config.put_batching = batching;
+    Config.grain;
     agg_cache = accel;
     advisor =
       (if accel then
@@ -327,7 +327,6 @@ let with_knobs base (batching, accel) =
              adv_demote_windows = 4;
            }
        else None);
-    grain = Config.Auto_grain;
   }
 
 (* [run ~threads knobs] must return the output lines of one engine run;
@@ -335,7 +334,7 @@ let with_knobs base (batching, accel) =
 let outputs_agree run =
   match
     List.map
-      (fun (threads, batching, accel) -> run ~threads (batching, accel))
+      (fun (threads, grain, accel) -> run ~threads (grain, accel))
       knob_grid
   with
   | [] -> true

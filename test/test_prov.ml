@@ -7,12 +7,17 @@ open Jstar_core
 
 let v_int i = Value.Int i
 
-(* The thread/task-shape grid every determinism assertion runs over. *)
-let configs = [ (1, false); (2, false); (2, true); (4, false); (4, true) ]
+(* The thread x grain grid every determinism assertion runs over: the
+   adaptive chunks and the §5.2 one task per (tuple, rule). *)
+let configs =
+  List.concat_map
+    (fun threads ->
+      List.map (fun grain -> (threads, grain)) [ Config.Auto_grain; Fixed 1 ])
+    [ 1; 2; 4 ]
 
-let base_config threads task_per_rule =
+let base_config threads grain =
   let c = if threads = 1 then Config.default else Config.parallel ~threads () in
-  { c with Config.task_per_rule }
+  { c with Config.grain }
 
 (* ------------------------------------------------------------------ *)
 (* Fixture: the transitive-closure program (same shape as test_props) *)
@@ -52,11 +57,11 @@ let closure_program edges =
   in
   { c_program = p; c_edge = edge; c_path = path; c_init = init }
 
-let run_closure ~threads ~task_per_rule ~f edges =
+let run_closure ~threads ~grain ~f edges =
   let c = closure_program edges in
   let config =
     {
-      (base_config threads task_per_rule) with
+      (base_config threads grain) with
       Config.provenance = true;
       digest = true;
     }
@@ -78,8 +83,8 @@ let prop_lineage_complete_and_deterministic =
     (fun edges ->
       let renderings =
         List.map
-          (fun (threads, task_per_rule) ->
-            run_closure ~threads ~task_per_rule edges
+          (fun (threads, grain) ->
+            run_closure ~threads ~grain edges
               ~f:(fun c frozen result gamma ->
                 let lineage = Option.get result.Engine.lineage in
                 (match Jstar_prov.Explain.completeness_error ~lineage with
@@ -108,7 +113,7 @@ let prop_lineage_complete_and_deterministic =
 (* The canonical tree bottoms out in Seed leaves — never a dangling
    rule-produced node without inputs. *)
 let test_closure_leaves_are_seeds () =
-  run_closure ~threads:2 ~task_per_rule:false
+  run_closure ~threads:2 ~grain:Config.Auto_grain
     [ (0, 1); (1, 2); (2, 3) ]
     ~f:(fun c frozen result gamma ->
       let lineage = Option.get result.Engine.lineage in
@@ -139,8 +144,8 @@ let test_digest_closure_threads () =
   let edges = [ (0, 1); (1, 2); (2, 3); (3, 0); (1, 4) ] in
   let digests =
     List.map
-      (fun (threads, task_per_rule) ->
-        run_closure ~threads ~task_per_rule edges
+      (fun (threads, grain) ->
+        run_closure ~threads ~grain edges
           ~f:(fun _ _ result _ -> digest_of result))
       configs
   in
@@ -154,7 +159,7 @@ let test_digest_closure_threads () =
   | [] -> ());
   (* sanity: a different database digests differently *)
   let other =
-    run_closure ~threads:1 ~task_per_rule:false
+    run_closure ~threads:1 ~grain:Config.Auto_grain
       [ (0, 1); (1, 2) ]
       ~f:(fun _ _ result _ -> digest_of result)
   in
@@ -257,7 +262,10 @@ let violating_program () =
 let auditor_catches threads () =
   let p, init = violating_program () in
   let config =
-    { (base_config threads false) with Config.audit_causality = true }
+    {
+      (base_config threads Config.Auto_grain) with
+      Config.audit_causality = true;
+    }
   in
   let violated =
     try
@@ -269,12 +277,15 @@ let auditor_catches threads () =
   (* the same program runs quietly with the auditor off: the violation
      is a law violation, not a crash *)
   let p, init = violating_program () in
-  ignore (Engine.run_program ~init p (base_config threads false))
+  ignore
+    (Engine.run_program ~init p (base_config threads Config.Auto_grain))
 
 let test_auditor_silent_on_sound_programs () =
   (* closure at 2 threads, audited *)
   let c = closure_program [ (0, 1); (1, 2); (2, 0); (1, 3) ] in
-  let config = { (base_config 2 false) with Config.audit_causality = true } in
+  let config =
+    { (base_config 2 Config.Auto_grain) with Config.audit_causality = true }
+  in
   ignore (Engine.run_program ~init:c.c_init c.c_program config);
   (* PvWatts-small, audited, with and without -noDelta *)
   let data = Lazy.force pvwatts_data in
@@ -352,11 +363,11 @@ let test_pvwatts_explain_deterministic () =
 let test_explain_across_session_boundaries () =
   let trees =
     List.map
-      (fun (threads, task_per_rule) ->
+      (fun (threads, grain) ->
         let c = closure_program [] in
         let config =
           {
-            (base_config threads task_per_rule) with
+            (base_config threads grain) with
             Config.provenance = true;
             digest = true;
           }
@@ -469,8 +480,8 @@ let test_outputs_digest_threads () =
   in
   let digests =
     List.map
-      (fun (threads, task_per_rule) ->
-        run_closure ~threads ~task_per_rule edges ~f:(fun _ _ result _ ->
+      (fun (threads, grain) ->
+        run_closure ~threads ~grain edges ~f:(fun _ _ result _ ->
             (d_out result, result.Engine.outputs)))
       configs
   in
@@ -485,7 +496,7 @@ let test_outputs_digest_threads () =
         rest
   | [] -> ());
   let other =
-    run_closure ~threads:1 ~task_per_rule:false
+    run_closure ~threads:1 ~grain:Config.Auto_grain
       [ (0, 1) ]
       ~f:(fun _ _ result _ -> d_out result)
   in

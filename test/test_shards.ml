@@ -3,7 +3,7 @@
    remote-owned puts ship through per-shard mailboxes.  The mode is a
    pure execution strategy: digests, output stream, per-table stats,
    delta totals and explain trees must be bit-identical to the
-   unsharded engine across the shards x threads x batch_fire grid —
+   unsharded engine across the shards x threads x grain grid —
    including durable-session feed/drain/recover round-trips. *)
 
 open Jstar_core
@@ -77,34 +77,37 @@ let closure_fixture () =
 let edge_tuples fx edges =
   List.map (fun (a, b) -> Tuple.make fx.x_edge [| v_int a; v_int b |]) edges
 
-(* The grid: the (shards = 0, 1 thread, per-tuple) oracle first, then
-   every interesting combination — shards without threads, threads
-   without shards, both, shard count above and below the thread
-   count, and the batch/per-tuple firing split. *)
+(* The grid: the (shards = 0, 1 thread) oracle first, then every
+   interesting combination — shards without threads, threads without
+   shards, both, shard count above and below the thread count, and both
+   ends of the grain range (adaptive chunks and the §5.2 one task per
+   (tuple, rule)). *)
+let auto = Config.Auto_grain
+let per_rule = Config.Fixed 1
+
 let grid =
   [
-    (0, 1, false);
-    (0, 2, true);
-    (1, 1, false);
-    (1, 2, true);
-    (2, 1, false);
-    (2, 1, true);
-    (2, 2, false);
-    (2, 2, true);
-    (2, 4, true);
-    (4, 2, true);
-    (4, 4, true);
+    (0, 1, per_rule);
+    (0, 2, auto);
+    (1, 1, per_rule);
+    (1, 2, auto);
+    (2, 1, per_rule);
+    (2, 1, auto);
+    (2, 2, per_rule);
+    (2, 2, auto);
+    (2, 4, auto);
+    (4, 2, auto);
+    (4, 4, auto);
   ]
 
-let shard_config ~shards ~threads ~batch_fire =
+let shard_config ~shards ~threads ~grain =
   let c =
     if threads = 1 then Config.default else Config.parallel ~threads ()
   in
   {
     c with
     Config.shards;
-    batch_fire;
-    put_batching = batch_fire;
+    grain;
     (* [Config.parallel] flips the aggregate cache on and [default]
        leaves it off, which legitimately changes the per-table query
        counters; pin it so the grid varies only shards/threads/firing *)
@@ -156,9 +159,9 @@ let check_grid_equal ~msg observations =
 (* ------------------------------------------------------------------ *)
 (* Whole-run equivalence across the grid *)
 
-let run_point edges (shards, threads, batch_fire) =
+let run_point edges (shards, threads, grain) =
   let fx = closure_fixture () in
-  let config = shard_config ~shards ~threads ~batch_fire in
+  let config = shard_config ~shards ~threads ~grain in
   observe
     (Engine.run_program ~init:(edge_tuples fx edges) fx.x_program config)
 
@@ -166,7 +169,7 @@ let test_shards_grid () =
   let edges = [ (0, 1); (1, 2); (2, 3); (3, 0); (1, 4); (4, 2); (2, 5) ] in
   check_grid_equal ~msg:"closure" (List.map (run_point edges) grid);
   (* sanity: not vacuously equal *)
-  let o = run_point edges (2, 2, true) in
+  let o = run_point edges (2, 2, auto) in
   Alcotest.(check bool) "digest present" true (o.o_digest <> None);
   Alcotest.(check bool) "outputs present" true (o.o_outputs <> [])
 
@@ -175,10 +178,10 @@ let prop_shards_grid =
     QCheck.(
       list_of_size (Gen.int_range 1 25) (pair (int_range 0 7) (int_range 0 7)))
     (fun edges ->
-      let oracle = run_point edges (0, 1, false) in
+      let oracle = run_point edges (0, 1, per_rule) in
       List.for_all
         (fun point -> run_point edges point = oracle)
-        [ (2, 1, false); (2, 2, true); (4, 2, true) ])
+        [ (2, 1, per_rule); (2, 2, auto); (4, 2, auto) ])
 
 (* ------------------------------------------------------------------ *)
 (* Explain trees: lineage merged from sharded firings must derive the
@@ -186,9 +189,9 @@ let prop_shards_grid =
 
 let test_shards_explain () =
   let edges = [ (0, 1); (1, 2); (1, 3); (3, 0) ] in
-  let trees_at (shards, threads, batch_fire) =
+  let trees_at (shards, threads, grain) =
     let fx = closure_fixture () in
-    let config = shard_config ~shards ~threads ~batch_fire in
+    let config = shard_config ~shards ~threads ~grain in
     let frozen = Program.freeze fx.x_program in
     let result, gamma =
       Engine.run_with_gamma ~init:(edge_tuples fx edges) frozen config
@@ -206,13 +209,13 @@ let test_shards_explain () =
         | None -> Alcotest.fail ("stored but untracked: " ^ Tuple.show t))
       (List.sort Tuple.compare !tuples)
   in
-  let reference = trees_at (0, 1, false) in
+  let reference = trees_at (0, 1, per_rule) in
   Alcotest.(check bool) "trees nonempty" true (reference <> []);
   List.iter
     (fun point ->
       Alcotest.(check bool) "sharded explain trees == unsharded" true
         (trees_at point = reference))
-    [ (2, 1, false); (2, 2, true); (4, 2, true) ]
+    [ (2, 1, per_rule); (2, 2, auto); (4, 2, auto) ]
 
 (* ------------------------------------------------------------------ *)
 (* Sessions: feed/drain under sharding matches the oracle, and the
@@ -221,9 +224,9 @@ let test_shards_explain () =
 let test_shards_session () =
   let observations =
     List.map
-      (fun ((shards, threads, batch_fire) as point) ->
+      (fun ((shards, threads, grain) as point) ->
         let fx = closure_fixture () in
-        let config = shard_config ~shards ~threads ~batch_fire in
+        let config = shard_config ~shards ~threads ~grain in
         let s = Engine.start (Program.freeze fx.x_program) config in
         Engine.feed s (edge_tuples fx [ (2, 3); (3, 4) ]);
         ignore (Engine.drain s);
@@ -272,7 +275,7 @@ let test_shards_durable () =
     let fx = closure_fixture () in
     let s =
       Engine.start (Program.freeze fx.x_program)
-        (shard_config ~shards:0 ~threads:1 ~batch_fire:false)
+        (shard_config ~shards:0 ~threads:1 ~grain:per_rule)
     in
     List.iter
       (fun b ->
@@ -284,7 +287,7 @@ let test_shards_durable () =
   let dir = fresh_dir () in
   let fx = closure_fixture () in
   let frozen = Program.freeze fx.x_program in
-  let config = shard_config ~shards:2 ~threads:2 ~batch_fire:true in
+  let config = shard_config ~shards:2 ~threads:2 ~grain:auto in
   (* first incarnation: two batches, checkpoint, shut down *)
   let d, status = Jstar_persist.Durable.open_ ~dir frozen config in
   (match status with

@@ -4,7 +4,7 @@
    1. a parallel run at [tracing = Spans] must export Chrome trace-event
       JSON that parses, passes the trace-event schema checks (required
       fields, balanced name-matched B/E pairs per track), and contains
-      the engine's step / gamma-insert / rule-fire spans plus the
+      the engine's step / gamma-insert / batch-fire spans plus the
       pool's steal/idle scheduling events;
    2. with [tracing = Off] the instrumentation must be free: two
       interleaved groups of runs must agree to within 3% (plus a small
@@ -61,14 +61,13 @@ let run_once config =
 
 let () =
   (* -- 1. traced run exports a valid, complete Chrome trace ---------- *)
-  (* Batched firing replaces the per-tuple rule-fire spans with
-     per-chunk batch-fire spans; the rule-fire mask and sampling checks
-     below need a span per firing, so they run with it off. *)
+  (* [grain = Fixed 1] fires one chunk per (tuple, rule), so the mask
+     and sampling checks below see a batch-fire span per firing. *)
   let spans_config =
     {
       (Config.parallel ~threads:2 ()) with
       Config.tracing = Level.Spans;
-      batch_fire = false;
+      grain = Fixed 1;
     }
   in
   let _, result = run_once spans_config in
@@ -86,7 +85,7 @@ let () =
   in
   require "step";
   require "gamma-insert";
-  require "rule-fire";
+  require "batch-fire";
   if
     Trace_check.name_count summary "pool-steal"
     + Trace_check.name_count summary "pool-idle"
@@ -98,7 +97,7 @@ let () =
     summary.Trace_check.spans
     (Tracer.dropped result.Engine.tracer);
 
-  (* -- 1b. batched firing traces batch-fire chunk spans --------------- *)
+  (* -- 1b. adaptive chunks trace batch-fire spans too ---------------- *)
   let batched_spans_config =
     { (Config.parallel ~threads:2 ()) with Config.tracing = Level.Spans }
   in
@@ -108,12 +107,12 @@ let () =
   let bsummary =
     match Trace_check.validate_string (Buffer.contents bbuf) with
     | Ok s -> s
-    | Error e -> fail "batched trace fails schema validation: %s" e
+    | Error e -> fail "adaptive-grain trace fails schema validation: %s" e
   in
   if Trace_check.name_count bsummary "batch-fire" = 0 then
-    fail "batched run traced no batch-fire spans";
+    fail "adaptive-grain run traced no batch-fire spans";
   if Trace_check.name_count bsummary "step" = 0 then
-    fail "batched trace lost its step spans";
+    fail "adaptive-grain trace lost its step spans";
 
   (* -- 2. tracing = Off is free -------------------------------------- *)
   let off_config = Config.parallel ~threads:2 () in
@@ -136,9 +135,9 @@ let () =
       tolerance;
   let spans_t, _ = run_once spans_config in
 
-  (* -- 3. the suppress mask drops rule-fire spans only --------------- *)
+  (* -- 3. the suppress mask drops batch-fire spans only -------------- *)
   let masked_config =
-    { spans_config with Config.trace_suppress = [ "rule-fire" ] }
+    { spans_config with Config.trace_suppress = [ "batch-fire" ] }
   in
   let masked_t, masked_result = run_once masked_config in
   let mbuf = Buffer.create (1 lsl 16) in
@@ -148,13 +147,13 @@ let () =
     | Ok s -> s
     | Error e -> fail "masked trace fails schema validation: %s" e
   in
-  if Trace_check.name_count msummary "rule-fire" <> 0 then
-    fail "suppress mask leaked rule-fire events";
+  if Trace_check.name_count msummary "batch-fire" <> 0 then
+    fail "suppress mask leaked batch-fire events";
   if Trace_check.name_count msummary "step" = 0 then
     fail "suppress mask dropped step events too";
 
   (* -- 4. 1-in-N sampling thins unmasked kinds, keeps the schema ----- *)
-  let full_fires = Trace_check.name_count summary "rule-fire" in
+  let full_fires = Trace_check.name_count summary "batch-fire" in
   let sampled_config = { spans_config with Config.trace_sample = 50 } in
   let sampled_t, sampled_result = run_once sampled_config in
   let sbuf = Buffer.create (1 lsl 16) in
@@ -164,18 +163,18 @@ let () =
     | Ok s -> s
     | Error e -> fail "sampled trace fails schema validation: %s" e
   in
-  let sampled_fires = Trace_check.name_count ssummary "rule-fire" in
-  (* [items] rule fires: 1-in-50 must record far fewer than all of them
+  let sampled_fires = Trace_check.name_count ssummary "batch-fire" in
+  (* [items] chunk fires: 1-in-50 must record far fewer than all of them
      (windows are per domain and per 64-way kind slot, so allow a wide
      margin) but still record some *)
-  if sampled_fires = 0 then fail "sampling dropped every rule-fire event";
+  if sampled_fires = 0 then fail "sampling dropped every batch-fire event";
   if sampled_fires * 10 > full_fires then
-    fail "sampling barely thinned rule-fire: %d of %d" sampled_fires
+    fail "sampling barely thinned batch-fire: %d of %d" sampled_fires
       full_fires;
   if Trace_check.name_count ssummary "step" = 0 then
     fail "sampled trace lost its step spans";
   Fmt.pr
     "trace-smoke: timing ok — Off medians %.4fs / %.4fs (tolerance %.4fs), \
-     Spans run %.4fs, Spans-minus-rule-fire run %.4fs, Spans-sampled-50 run \
-     %.4fs (%d of %d rule-fire events)@."
+     Spans run %.4fs, Spans-minus-batch-fire run %.4fs, Spans-sampled-50 \
+     run %.4fs (%d of %d batch-fire events)@."
     a b tolerance spans_t masked_t sampled_t sampled_fires full_fires
