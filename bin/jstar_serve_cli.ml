@@ -2,12 +2,11 @@
    engine sessions over the binary serve protocol, with branch/merge
    and admission control (DESIGN.md §15).  The client subcommands drive
    the shared sensor demo program against a running server — enough to
-   walk the README's serving example end to end. *)
+   walk the README's serving example end to end.  The server keeps the
+   runtime's default minor heap: each session worker may run on its own
+   domain, and every domain's minor heap is collected stop-the-world. *)
 
 open Cmdliner
-
-let tune_runtime () =
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 }
 
 (* -- shared options ---------------------------------------------------- *)
 
@@ -111,7 +110,6 @@ let serve_cmd =
   in
   let run root addr port max_sessions max_connections feed_quota idle_timeout
       checkpoint_every fsync threads ops_port flight_dir =
-    tune_runtime ();
     let frozen = Jstar_serve.Demo.sensor_program () in
     let cfg =
       {

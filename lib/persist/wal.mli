@@ -20,10 +20,13 @@ type fsync_policy =
   | Always  (** fsync on every commit — full durability *)
   | Every of int  (** fsync once per [n] records — bounded loss window *)
   | Every_ms of int
-      (** group-commit window: fsync at most once per [n] milliseconds,
-          coalescing every commit that lands inside the window into the
-          next sync — bounded-time loss window, amortized across
-          co-located sessions *)
+      (** group-commit window: a commit fsyncs only when [n]
+          milliseconds have passed since this log's last sync, so the
+          commits inside a window share the next one.  That sync runs
+          inside a later commit, never on a timer: an idle log's last
+          commits stay unsynced until its next commit, {!sync} or
+          {!close} (a checkpoint or session close), so the loss window
+          is bounded in time only while commits keep arriving *)
   | Never  (** leave durability to the OS page cache *)
 
 type watermark = {

@@ -97,10 +97,10 @@ let add_frame buf kind payload =
   Buffer.add_bytes buf framed;
   Codec.put_u32 buf (Crc32.bytes framed 0 (Bytes.length framed))
 
-(* Pull one frame out of [b] starting at [!pos].  [`Incomplete] means
-   the bytes so far are a valid prefix of a frame — read more. *)
-let read_frame_bytes b pos =
-  let len = Bytes.length b - !pos in
+(* Pull one frame out of [b]'s bytes [!pos, limit).  [`Incomplete]
+   means the bytes so far are a valid prefix of a frame — read more. *)
+let frame_in b pos ~limit =
+  let len = limit - !pos in
   if len < 5 then `Incomplete
   else begin
     let p = ref !pos in
@@ -120,6 +120,8 @@ let read_frame_bytes b pos =
       `Frame (kind, payload)
     end
   end
+
+let read_frame_bytes b pos = frame_in b pos ~limit:(Bytes.length b)
 
 (* -- encoding ---------------------------------------------------------- *)
 
@@ -292,13 +294,21 @@ let decode_server kind payload =
 
 type reader = {
   fd : Unix.file_descr;
-  mutable buf : Bytes.t;  (* buffered unconsumed bytes *)
-  mutable len : int;  (* valid prefix of [buf] *)
+  mutable buf : Bytes.t;
+  mutable off : int;  (* first unconsumed byte of [buf] *)
+  mutable len : int;  (* end of the bytes read into [buf] *)
 }
 
-let reader fd = { fd; buf = Bytes.create 8192; len = 0 }
+let reader fd = { fd; buf = Bytes.create 8192; off = 0; len = 0 }
 
+(* Read more bytes after [len], first sliding the unconsumed tail to
+   the front (or doubling [buf] when the tail already fills it). *)
 let refill r =
+  if r.off > 0 then begin
+    Bytes.blit r.buf r.off r.buf 0 (r.len - r.off);
+    r.len <- r.len - r.off;
+    r.off <- 0
+  end;
   if r.len = Bytes.length r.buf then
     r.buf <- Bytes.extend r.buf 0 (Bytes.length r.buf);
   match Unix.read r.fd r.buf r.len (Bytes.length r.buf - r.len) with
@@ -307,19 +317,18 @@ let refill r =
       r.len <- r.len + n;
       true
 
-(* Read one frame; [None] on a clean EOF between frames.  EOF inside a
-   frame is a torn stream — an error, not a shutdown. *)
+(* Read one frame, parsed where it lies in [buf]; [None] on a clean EOF
+   between frames.  EOF inside a frame is a torn stream — an error, not
+   a shutdown. *)
 let rec read_frame r =
-  let pos = ref 0 in
-  match read_frame_bytes (Bytes.sub r.buf 0 r.len) pos with
+  let pos = ref r.off in
+  match frame_in r.buf pos ~limit:r.len with
   | `Frame (kind, payload) ->
-      let consumed = !pos in
-      Bytes.blit r.buf consumed r.buf 0 (r.len - consumed);
-      r.len <- r.len - consumed;
+      r.off <- !pos;
       Some (kind, payload)
   | `Incomplete ->
       if refill r then read_frame r
-      else if r.len = 0 then None
+      else if r.len = r.off then None
       else fail "connection closed mid-frame"
 
 let write_all fd b =

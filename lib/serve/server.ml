@@ -1,10 +1,14 @@
 (* The jstar-serve reactor: one acceptor thread multiplexing a
    listening socket against a shutdown self-pipe, one thread per client
    connection speaking the binary protocol, and one single-owner worker
-   per session (Session).  Admission control front-loads every resource
-   decision: connections are counted at accept, sessions at open,
-   queued tuples per session at feed — past those gates nothing is
-   unbounded.
+   per session (Session).  The acceptor and connection threads run on
+   the domain that called [start]; each worker goes to the least-loaded
+   of the server's placement slots (Placement: that domain plus
+   [Domain.recommended_domain_count () - 1] executor domains), so
+   independent sessions run in parallel.  Admission control front-loads
+   every resource decision: connections are counted at accept, sessions
+   at open, queued tuples per session at feed — past those gates
+   nothing is unbounded.
 
    Branch and merge are orchestrated here because they span sessions:
    branch = Durable.fork on the source's worker + a fresh Session over
@@ -60,6 +64,7 @@ type t = {
   stop_w : Unix.file_descr;
   journal : Journal.t;
   metrics : Metrics.t;
+  placement : Placement.t;
   registry : (string, Session.t) Hashtbl.t;
   reg_m : Mutex.t;
   lanes : (string, unit) Hashtbl.t;  (* names with metric lanes registered *)
@@ -175,7 +180,7 @@ let open_session_locked t name =
         match
           Session.start ~name ~dir:(session_dir t name)
             ~quota:t.cfg.feed_quota ~checkpoint_every:t.cfg.checkpoint_every
-            ~fsync:t.cfg.fsync t.frozen t.cfg.engine
+            ~fsync:t.cfg.fsync ~placement:t.placement t.frozen t.cfg.engine
         with
         | s, status ->
             Hashtbl.replace t.registry name s;
@@ -283,7 +288,8 @@ let handle_branch t s target =
                 match
                   Session.start ~name:target ~dir ~quota:t.cfg.feed_quota
                     ~checkpoint_every:t.cfg.checkpoint_every
-                    ~fsync:t.cfg.fsync t.frozen t.cfg.engine
+                    ~fsync:t.cfg.fsync ~placement:t.placement t.frozen
+                    t.cfg.engine
                 with
                 | branch, _ ->
                     Hashtbl.replace t.registry target branch;
@@ -694,6 +700,7 @@ let start cfg frozen =
       stop_w;
       journal = Journal.create ();
       metrics = Metrics.create ();
+      placement = Placement.create ();
       registry = Hashtbl.create 16;
       reg_m = Mutex.create ();
       lanes = Hashtbl.create 16;
@@ -719,7 +726,13 @@ let start cfg frozen =
     }
   in
   register_metrics t;
-  start_ops t;
+  (try start_ops t
+   with e ->
+     Placement.shutdown t.placement;
+     List.iter
+       (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+       [ lsock; stop_r; stop_w ];
+     raise e);
   t.acceptor <- Some (Thread.create (acceptor t) ());
   Journal.info t.journal ~comp:"serve" ~event:"start"
     [ ("port", num port); ("root", Json.Str cfg.root) ];
@@ -732,6 +745,7 @@ let ops_port t = Option.map Jstar_ops.Httpd.port t.ops
 let sessions_open t = with_registry t (fun () -> Hashtbl.length t.registry)
 let connections t = Atomic.get t.conn_count
 let flow_pauses t = Atomic.get t.flow_pauses
+let slot_load t = Placement.load t.placement
 
 let request_shutdown t =
   Atomic.set t.shutting_down true;
@@ -765,6 +779,8 @@ let wait t =
     with_registry t (fun () ->
         let all = Hashtbl.fold (fun _ s acc -> s :: acc) t.registry [] in
         List.iter (fun s -> stop_session_locked t ~event:"drain" s) all);
+    (* every worker has exited: the executor domains can go *)
+    Placement.shutdown t.placement;
     (match t.ops with Some o -> Jstar_ops.Httpd.stop o | None -> ());
     List.iter
       (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())

@@ -4,7 +4,10 @@
     One acceptor thread multiplexes the listening socket against a
     shutdown self-pipe; each accepted connection gets a thread that
     decodes frames and posts commands into per-session single-owner
-    workers ({!Session}).  Sessions are addressed like branches
+    workers ({!Session}).  Workers are spread over the server's
+    {!Placement} slots — the domain that called {!start} plus
+    [Domain.recommended_domain_count () - 1] executor domains — so
+    independent sessions run in parallel.  Sessions are addressed like branches
     ([proj/main]) and live under [root] as durable directories —
     opening a name that exists on disk recovers it.
 
@@ -46,8 +49,8 @@ val default_config : root:string -> config
 type t
 
 val start : config -> Jstar_core.Program.frozen -> t
-(** Bind and serve.  All sessions share [frozen] — one program, many
-    independently evolving databases.
+(** Bind, spawn the executor domains and serve.  All sessions share
+    [frozen] — one program, many independently evolving databases.
     @raise Unix.Unix_error when the bind fails. *)
 
 val port : t -> int
@@ -59,8 +62,9 @@ val request_shutdown : t -> unit
 
 val wait : t -> unit
 (** Join the acceptor, then drain: close connections, stop every
-    session (apply queue → quiesce → checkpoint → close), stop the ops
-    plane.  Returns when the server is fully down. *)
+    session (apply queue → quiesce → checkpoint → close), join the
+    executor domains, stop the ops plane.  Returns when the server is
+    fully down. *)
 
 val stop : t -> unit
 (** {!request_shutdown} then {!wait}. *)
@@ -72,3 +76,7 @@ val journal : t -> Jstar_obs.Journal.t
 val sessions_open : t -> int
 val connections : t -> int
 val flow_pauses : t -> int
+
+val slot_load : t -> int array
+(** Live session workers per placement slot, slot 0 (the domain that
+    called {!start}) first; its length is the slot count. *)

@@ -2,7 +2,9 @@
    worker thread — PR 8's single-owner shard discipline lifted to whole
    sessions.  Connection threads never touch the engine; they enqueue
    commands into a lock-free MPSC mailbox (lib/cds Ms_queue) and block
-   on a one-shot reply box when they need an answer.
+   on a one-shot reply box when they need an answer.  The worker may
+   live on another domain than the connection threads (Placement), so
+   every field both sides touch is immutable, atomic or mutex-guarded.
 
    Backpressure is accounted here: [enqueue_feed] reserves each batch
    against an atomic tuple-backlog counter with a CAS loop before the
@@ -66,10 +68,13 @@ type t = {
   wake_c : Condition.t;
   flow_m : Mutex.t;
   flow_c : Condition.t;
-  mutable stopped : bool;  (* worker exited; guarded by wake_m *)
+  stopped : bool Atomic.t;
+      (* set once, under wake_m, when the mailbox closes; read without
+         it wherever a stale [false] only costs one more loop *)
   mutable attached : int;  (* connections bound here; server's registry lock *)
-  mutable last_active_ns : int;
-  mutable thread : Thread.t option;
+  last_active_ns : int Atomic.t;
+      (* written by connection threads and the worker, read by the janitor *)
+  mutable thread : Thread.t option;  (* set before [start] returns *)
 }
 
 let name t = t.name
@@ -84,10 +89,11 @@ let drains t = Atomic.get t.drains
 let durable t = t.durable
 let attached t = t.attached
 let set_attached t n = t.attached <- n
-let touch t = t.last_active_ns <- Jstar_obs.Monotonic.now_ns ()
+let touch t = Atomic.set t.last_active_ns (Jstar_obs.Monotonic.now_ns ())
 
 let idle_seconds t =
-  float_of_int (Jstar_obs.Monotonic.now_ns () - t.last_active_ns) *. 1e-9
+  float_of_int (Jstar_obs.Monotonic.now_ns () - Atomic.get t.last_active_ns)
+  *. 1e-9
 
 (* -- the worker -------------------------------------------------------- *)
 
@@ -215,7 +221,7 @@ let exec t cmd =
    stop (the client was told it was accepted), dropped on a crash. *)
 let close_mailbox t ~err ~on_feed =
   Mutex.lock t.wake_m;
-  t.stopped <- true;
+  Atomic.set t.stopped true;
   Mutex.unlock t.wake_m;
   Jstar_cds.Ms_queue.drain t.mailbox (fun cmd ->
       let reject : type a. (a, string) result box -> unit =
@@ -290,7 +296,9 @@ let worker t () =
           (try ignore (Durable.finish t.durable) with _ -> ()))
     | None ->
         Mutex.lock t.wake_m;
-        while Jstar_cds.Ms_queue.is_empty t.mailbox && not t.stopped do
+        while
+          Jstar_cds.Ms_queue.is_empty t.mailbox && not (Atomic.get t.stopped)
+        do
           Condition.wait t.wake_c t.wake_m
         done;
         Mutex.unlock t.wake_m
@@ -298,7 +306,7 @@ let worker t () =
 
 (* -- lifecycle --------------------------------------------------------- *)
 
-let start ~name ~dir ~quota ?checkpoint_every ?fsync frozen config =
+let start ~name ~dir ~quota ?checkpoint_every ?fsync ?placement frozen config =
   let durable, status = Durable.open_ ?checkpoint_every ?fsync ~dir frozen config in
   let t =
     {
@@ -318,18 +326,22 @@ let start ~name ~dir ~quota ?checkpoint_every ?fsync frozen config =
       wake_c = Condition.create ();
       flow_m = Mutex.create ();
       flow_c = Condition.create ();
-      stopped = false;
+      stopped = Atomic.make false;
       attached = 0;
-      last_active_ns = Jstar_obs.Monotonic.now_ns ();
+      last_active_ns = Atomic.make (Jstar_obs.Monotonic.now_ns ());
       thread = None;
     }
   in
-  t.thread <- Some (Thread.create (worker t) ());
+  t.thread <-
+    Some
+      (match placement with
+      | None -> Thread.create (worker t) ()
+      | Some p -> Placement.spawn p (worker t));
   (t, status)
 
 let post t cmd =
   Mutex.lock t.wake_m;
-  if t.stopped then begin
+  if Atomic.get t.stopped then begin
     Mutex.unlock t.wake_m;
     Error "session stopped"
   end
@@ -351,7 +363,7 @@ let roundtrip t make =
 (* Block until the backlog falls below [limit] (or the session stops). *)
 let wait_below t limit =
   Mutex.lock t.flow_m;
-  while Atomic.get t.backlog >= limit && not t.stopped do
+  while Atomic.get t.backlog >= limit && not (Atomic.get t.stopped) do
     Condition.wait t.flow_c t.flow_m
   done;
   Mutex.unlock t.flow_m
@@ -368,7 +380,7 @@ let wait_below t limit =
 let enqueue_feed t tuples ~on_pause ~on_resume =
   let n = List.length tuples in
   let rec reserve paused =
-    if t.stopped then begin
+    if Atomic.get t.stopped then begin
       if paused then on_resume (Atomic.get t.backlog);
       Error "session stopped"
     end
@@ -376,7 +388,9 @@ let enqueue_feed t tuples ~on_pause ~on_resume =
       let cur = Atomic.get t.backlog in
       if cur > 0 && cur + n > t.quota then begin
         if not paused then on_pause cur;
-        wait_below t (max 1 (t.quota / 2));
+        (* down to half the quota, and at least until the batch fits:
+           a batch over half the quota would otherwise spin here *)
+        wait_below t (max 1 (min (t.quota / 2) (t.quota - n + 1)));
         reserve true
       end
       else

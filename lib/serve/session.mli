@@ -1,8 +1,8 @@
 (** One served session: a durable engine session owned by a single
     worker thread, commanded through a lock-free MPSC mailbox — the
     shard ownership discipline of DESIGN.md §13 lifted to sessions.
-    Connection threads call the operations below; every engine touch
-    happens on the worker.
+    Connection threads call the operations below from any domain; every
+    engine touch happens on the worker.
 
     Backpressure contract: {!enqueue_feed} atomically reserves the
     batch against the tuple backlog before the worker sees it, parking
@@ -22,12 +22,15 @@ val start :
   quota:int ->
   ?checkpoint_every:int ->
   ?fsync:Jstar_persist.Wal.fsync_policy ->
+  ?placement:Placement.t ->
   Program.frozen ->
   Config.t ->
   t * Jstar_persist.Durable.status
 (** Open (or recover) the durable session under [dir] and spawn its
-    worker.  @raise Jstar_persist.Durable.Recovery_error when existing
-    state fails validation. *)
+    worker: on the least-loaded slot of [placement], where it stays
+    until it exits, or without [placement] on the caller's domain.
+    @raise Jstar_persist.Durable.Recovery_error when existing state
+    fails validation. *)
 
 val stop : t -> (unit, string) result
 (** Drain-then-checkpoint shutdown: the worker applies every queued

@@ -197,6 +197,80 @@ let mangled_frames =
       in
       prefixes_ok && flips_ok)
 
+(* The socket reader parses frames where they lie in its buffer: frames
+   written in any chunking — several per write, one split over many
+   writes, one larger than the initial buffer — come out of
+   [read_frame] intact and in order, and a stream that ends inside a
+   frame raises [Frame_error] rather than reading as a clean EOF. *)
+let stream_gen =
+  QCheck.Gen.(
+    let big = map (fun n -> P.Open (String.make n 'x')) (int_range 8000 20000) in
+    let* frames = list_size (int_range 1 12) (frequency [ (9, client_frame_gen); (1, big) ])
+    and* chunks =
+      list_size (int_range 1 16)
+        (frequency
+           [ (3, int_range 1 8); (3, int_range 9 300); (1, int_range 301 30000) ])
+    and* torn = opt nat in
+    return (frames, chunks, torn))
+
+let chunked_stream =
+  QCheck.Test.make ~name:"socket reader: any chunking, in order; torn tail raises"
+    ~count:200 (QCheck.make stream_gen) (fun (frames, chunks, torn) ->
+      let encoded = List.map encode_client frames in
+      let tail =
+        match torn with
+        | None -> Bytes.empty
+        | Some k ->
+            let e = List.hd encoded in
+            Bytes.sub e 0 (1 + (k mod (Bytes.length e - 1)))
+      in
+      let stream = Bytes.concat Bytes.empty (encoded @ [ tail ]) in
+      let w, r = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      (* a reader bug shows as a failed property, not a hung suite *)
+      Unix.setsockopt_float r Unix.SO_RCVTIMEO 5.0;
+      Unix.setsockopt_float w Unix.SO_SNDTIMEO 5.0;
+      let writer =
+        Thread.create
+          (fun () ->
+            let chunks = Array.of_list chunks in
+            let off = ref 0 and k = ref 0 in
+            try
+              while !off < Bytes.length stream do
+                let n =
+                  min chunks.(!k mod Array.length chunks)
+                    (Bytes.length stream - !off)
+                in
+                incr k;
+                ignore (Unix.write w stream !off n);
+                off := !off + n;
+                Thread.yield ()
+              done;
+              Unix.shutdown w Unix.SHUTDOWN_SEND
+            with Unix.Unix_error _ -> ())
+          ()
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Thread.join writer;
+          List.iter Unix.close [ w; r ])
+        (fun () ->
+          let reader = P.reader r in
+          let in_order =
+            List.for_all
+              (fun f ->
+                match P.read_frame reader with
+                | Some (kind, payload) ->
+                    client_frame_eq f (P.decode_client ~tables kind payload)
+                | None -> false)
+              frames
+          in
+          in_order
+          &&
+          match P.read_frame reader with
+          | None -> torn = None
+          | Some _ -> false
+          | exception P.Frame_error _ -> torn <> None))
+
 let test_oversized_frame () =
   let b = Buffer.create 16 in
   Jstar_persist.Codec.put_u8 b 3;
@@ -447,11 +521,167 @@ let test_merge_conflicts () =
           Serve.Client.close c
       | _ -> Alcotest.fail "merged from a session that does not exist")
 
+(* ------------------------------------------------------------------ *)
+(* Session workers on executor domains *)
+
+(* Poll until [cond] holds; a broken barrier fails the test instead
+   of hanging the suite. *)
+let eventually what cond =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.failf "timed out waiting for %s" what;
+    Thread.delay 0.001
+  done
+
+(* A tuple of a program with one more table than the sensor program:
+   its table id is out of range there, so Engine.feed raises on it
+   after Durable.feed has appended it to the WAL. *)
+let alien_tuple () =
+  let p = Program.create () in
+  let names = List.init (Array.length tables + 1) (Printf.sprintf "T%d") in
+  let schemas =
+    List.map
+      (fun n ->
+        Program.table p n ~columns:Schema.[ int_col "x" ] ~orderby:Schema.[ Lit n ] ())
+      names
+  in
+  Program.order p names;
+  Tuple.make (List.nth schemas (Array.length tables)) [| Value.Int 0 |]
+
+(* The worker's exception barrier, with the worker on an executor
+   domain: a feed that raises inside Durable.feed kills the session
+   loudly — the drain ahead of it still completes, a feed parked on
+   the quota behind it returns, every later command gets Error, the
+   backlog drains to 0 and stop returns. *)
+let test_worker_crash_barrier () =
+  let dir = fresh_root () in
+  let placement = Serve.Placement.create ~slots:2 () in
+  (* the first drain parks its worker in the step hook until [gate] *)
+  let inside = Atomic.make false and gate = Atomic.make false in
+  let engine =
+    {
+      Config.default with
+      Config.step_hook =
+        Some
+          (fun _ _ ->
+            if not (Atomic.get gate) then begin
+              Atomic.set inside true;
+              while not (Atomic.get gate) do
+                Thread.delay 0.001
+              done
+            end);
+    }
+  in
+  let s, _ =
+    Serve.Session.start ~name:"crash/me" ~dir ~quota:8
+      ~fsync:Jstar_persist.Wal.Never ~placement frozen engine
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set gate true;
+      ignore (Serve.Session.stop s);
+      Serve.Placement.shutdown placement;
+      rm_rf dir)
+    (fun () ->
+      Alcotest.(check (array int)) "worker on the executor" [| 0; 1 |]
+        (Serve.Placement.load placement);
+      let feed ?(on_pause = ignore) tuples =
+        Serve.Session.enqueue_feed s tuples ~on_pause ~on_resume:ignore
+      in
+      ignore (feed (Serve.Demo.batch frozen ~sensors:2 ~t:0));
+      let drained = Atomic.make None in
+      let drainer =
+        Thread.create
+          (fun () -> Atomic.set drained (Some (Serve.Session.drain s)))
+          ()
+      in
+      eventually "the drain to enter the step hook" (fun () -> Atomic.get inside);
+      Alcotest.(check (result int string))
+        "poison admitted" (Ok 1)
+        (feed [ alien_tuple () ]);
+      (* 1 queued + 8 > quota 8: this feed parks behind the poison *)
+      let parked = Atomic.make false and fed = Atomic.make None in
+      let feeder =
+        Thread.create
+          (fun () ->
+            Atomic.set fed
+              (Some
+                 (feed
+                    ~on_pause:(fun _ -> Atomic.set parked true)
+                    (Serve.Demo.batch frozen ~sensors:7 ~t:1))))
+          ()
+      in
+      eventually "the feed to park" (fun () -> Atomic.get parked);
+      Atomic.set gate true;
+      eventually "the drain ahead of the crash" (fun () ->
+          Option.is_some (Atomic.get drained));
+      eventually "the parked feed to return" (fun () ->
+          Option.is_some (Atomic.get fed));
+      Thread.join drainer;
+      Thread.join feeder;
+      Alcotest.(check bool) "drain ahead of the crash succeeds" true
+        (Option.fold ~none:false ~some:Result.is_ok (Atomic.get drained));
+      Alcotest.(check bool) "drain after the crash fails" true
+        (Result.is_error (Serve.Session.drain s));
+      Alcotest.(check bool) "digest after the crash fails" true
+        (Result.is_error (Serve.Session.digest s));
+      Alcotest.(check bool) "feed after the crash fails" true
+        (Result.is_error (feed (Serve.Demo.batch frozen ~sensors:2 ~t:2)));
+      Alcotest.(check int) "backlog released" 0 (Serve.Session.backlog s);
+      Alcotest.(check bool) "stop returns" true
+        (Result.is_error (Serve.Session.stop s));
+      Alcotest.(check (array int)) "worker gone" [| 0; 0 |]
+        (Serve.Placement.load placement))
+
+(* More sessions than slots, each fed by its own client at once: every
+   slot hosts two or three workers, and every session still lands on
+   the standalone oracle's digests. *)
+let test_parallel_sessions_vs_oracle () =
+  let engine = { Config.default with Config.digest = true } in
+  let slots = Domain.recommended_domain_count () in
+  let n = (2 * slots) + 1 in
+  let ticks i = 20 + i in
+  let want = Array.init n (fun i -> oracle_fingerprint ~engine ~ticks:(ticks i)) in
+  with_server ~max_sessions:n ~max_connections:n ~engine (fun server ->
+      let port = Serve.Server.port server in
+      let clients =
+        Array.init n (fun i ->
+            let c = Serve.Client.connect ~port frozen in
+            ignore (Serve.Client.open_session c (Printf.sprintf "par/%d" i));
+            c)
+      in
+      let load = Serve.Server.slot_load server in
+      Alcotest.(check int) "one slot per recommended domain" slots
+        (Array.length load);
+      Alcotest.(check bool) "workers spread evenly" true
+        (Array.for_all (fun l -> l = 2 || l = 3) load);
+      let got = Array.make n (Error "not run") in
+      let threads =
+        Array.init n (fun i ->
+            Thread.create
+              (fun () ->
+                got.(i) <-
+                  (try
+                     feed_range clients.(i) ~from:0 ~ticks:(ticks i);
+                     Ok (fingerprint_of (Serve.Client.digest clients.(i)))
+                   with e -> Error (Printexc.to_string e)))
+              ())
+      in
+      Array.iter Thread.join threads;
+      Array.iteri
+        (fun i r ->
+          match r with
+          | Ok f -> Alcotest.check fp (Printf.sprintf "par/%d = oracle" i) want.(i) f
+          | Error m -> Alcotest.failf "par/%d: %s" i m)
+        got;
+      Array.iter Serve.Client.close clients)
+
 let suite =
   [
     ( "serve.protocol",
       List.map QCheck_alcotest.to_alcotest
-        [ roundtrip_client; roundtrip_server; mangled_frames ]
+        [ roundtrip_client; roundtrip_server; mangled_frames; chunked_stream ]
       @ [
           Alcotest.test_case "oversized frame rejected" `Quick
             test_oversized_frame;
@@ -483,5 +713,12 @@ let suite =
           test_merge_conflicts;
         Alcotest.test_case "merge refused after source checkpoint" `Quick
           test_merge_refused_after_checkpoint;
+      ] );
+    ( "serve.placement",
+      [
+        Alcotest.test_case "worker crash barrier on an executor" `Quick
+          test_worker_crash_barrier;
+        Alcotest.test_case "2 x slots + 1 sessions in parallel = oracle" `Quick
+          test_parallel_sessions_vs_oracle;
       ] );
   ]
