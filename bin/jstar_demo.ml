@@ -101,17 +101,6 @@ let metrics_every =
   in
   Arg.(value & opt int 0 & info [ "metrics-every" ] ~docv:"N" ~doc)
 
-let shards_opt =
-  let doc =
-    "Shared-nothing sharded execution: partition Gamma and Delta by tuple \
-     hash into $(docv) single-owner shards with cross-shard mailbox message \
-     passing (0 = unsharded).  Digests, outputs and lineage are \
-     bit-identical to unsharded runs at any thread count; per-shard \
-     occupancy and message-rate lanes appear in $(b,/metrics) and \
-     $(b,/health)."
-  in
-  Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
-
 (* [--trace-out] / [--metrics-out] / [--metrics-every] imply the level
    they need, so "--trace-out t.json" alone produces a useful trace. *)
 let effective_tracing tracing ~trace_out ~metrics_out ~metrics_every =
@@ -130,7 +119,7 @@ let flush_metrics_csv path metrics =
   Jstar_obs.Export.write_metrics_csv tmp metrics;
   Sys.rename tmp path
 
-let apply_common ?(shards = 0) ?alert_hook config ~tracing ~trace_out
+let apply_common ?alert_hook config ~tracing ~trace_out
     ~metrics_out ~audit ~digest ~trace_sample
     ~profile ~metrics_every =
   let metrics_hook =
@@ -162,7 +151,6 @@ let apply_common ?(shards = 0) ?alert_hook config ~tracing ~trace_out
     trace_sample;
     profile = config.Config.profile || profile;
     step_hook;
-    shards;
   }
 
 let report ?(max_lines = 20) ?trace_out ?metrics_out result show_stats =
@@ -366,7 +354,7 @@ let pvwatts_cmd =
   let run installations threads naive store sorted chunks disruptor consumers
       dot explain explain_json explain_dot explain_depth explain_width tracing
       trace_out metrics_out audit digest trace_sample profile metrics_every
-      shards show_stats =
+      show_stats =
     tune_runtime ();
     let ordering =
       if sorted then Jstar_csv.Pvwatts_data.Round_robin
@@ -399,7 +387,7 @@ let pvwatts_cmd =
           Fmt.pr "dependency graph -> %s@." path
       | None -> ());
       let config =
-        apply_common ~shards ~tracing ~trace_out ~metrics_out ~audit ~digest
+        apply_common ~tracing ~trace_out ~metrics_out ~audit ~digest
           ~trace_sample ~profile ~metrics_every
           (Jstar_apps.Pvwatts.config ~threads ~no_delta:(not naive) ~store ())
       in
@@ -426,7 +414,7 @@ let pvwatts_cmd =
       $ disruptor $ consumers $ dot $ explain $ explain_json $ explain_dot
       $ explain_depth $ explain_width $ tracing $ trace_out $ metrics_out
       $ audit $ digest $ trace_sample $ profile_flag $ metrics_every
-      $ shards_opt $ show_stats)
+      $ show_stats)
 
 (* -- matmul ----------------------------------------------------------- *)
 
@@ -642,9 +630,9 @@ let stream_cmd =
            ~doc:"Arm the flight recorder: on an uncaught engine exception \
                  (including a causality violation), on SIGUSR1, or on the \
                  ops plane's $(b,/dump), write one atomic diagnostic \
-                 bundle (journal tail, metrics, profiler top-K, per-shard \
-                 backlog, WAL lag, explain trees for tuples a violation \
-                 named) into $(docv).")
+                 bundle (journal tail, metrics, profiler top-K, WAL lag, \
+                 explain trees for tuples a violation named) into \
+                 $(docv).")
   in
   let alert_specs =
     Arg.(value & opt_all string [] & info [ "alert" ] ~docv:"SPEC"
@@ -660,7 +648,7 @@ let stream_cmd =
   in
   let run ticks sensors persist checkpoint_every fsync crash_after ops_port
       flight_dir alert_specs threads tracing trace_out metrics_out audit
-      digest trace_sample profile metrics_every shards show_stats =
+      digest trace_sample profile metrics_every show_stats =
     tune_runtime ();
     let alerts =
       match alert_specs with
@@ -711,7 +699,7 @@ let stream_cmd =
           (Tuple.int t "sensor") (Tuple.int t "value"));
     let frozen = Program.freeze p in
     let config =
-      apply_common ~shards ?alert_hook ~tracing ~trace_out ~metrics_out
+      apply_common ?alert_hook ~tracing ~trace_out ~metrics_out
         ~audit ~digest ~trace_sample
         ~profile:(profile || ops_port <> None)
         ~metrics_every
@@ -873,7 +861,7 @@ let stream_cmd =
       const run $ ticks $ sensors $ persist $ checkpoint_every $ fsync
       $ crash_after $ ops_port $ flight_dir $ alert_specs $ threads $ tracing
       $ trace_out $ metrics_out $ audit $ digest $ trace_sample
-      $ profile_flag $ metrics_every $ shards_opt $ show_stats)
+      $ profile_flag $ metrics_every $ show_stats)
 
 (* -- check ------------------------------------------------------------- *)
 

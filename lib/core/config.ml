@@ -61,8 +61,6 @@ type t = {
          histograms and promote hot scan patterns to secondary indexes
          mid-run *)
   max_steps : int option; (* safety valve for runaway programs *)
-  print_directly : bool;
-      (* bypass deterministic output collection (debugging only) *)
   tracing : Jstar_obs.Level.t;
       (* Off: zero-cost; Counters: metrics registry only; Spans: also
          record per-domain span rings for Chrome-trace export *)
@@ -101,17 +99,6 @@ type t = {
          the live metrics registry — the CLI's --metrics-every periodic
          flush; keep it cheap, it runs on the driving domain inside the
          barrier *)
-  shards : int;
-      (* shared-nothing sharded execution: partition Gamma and Delta by
-         tuple hash into N single-owner shards; every Delta-bound put is
-         shipped to the owner shard's mailbox as a message and drained
-         at the step barrier (a cross-shard watermark exchange), so the
-         pending structures need no cross-domain locking at all.  0 =
-         unsharded (the pre-sharding code paths, unchanged); 1 = the
-         sharded machinery with a single shard (message path exercised,
-         useful for testing).  The causality law makes the class
-         sequence — and hence digests, outputs and lineage —
-         bit-identical to unsharded runs *)
 }
 
 let default =
@@ -126,7 +113,6 @@ let default =
     agg_cache = false;
     advisor = None;
     max_steps = None;
-    print_directly = false;
     tracing = Jstar_obs.Level.Off;
     trace_suppress = [];
     trace_sample = 1;
@@ -135,7 +121,6 @@ let default =
     digest = false;
     profile = false;
     step_hook = None;
-    shards = 0;
   }
 
 let sequential = default
@@ -190,8 +175,7 @@ let validate t =
       | Some _ -> ()
       | None -> raise (Invalid ("unknown span kind in trace_suppress: " ^ name)))
     t.trace_suppress;
-  if t.trace_sample < 1 then raise (Invalid "trace_sample must be >= 1");
-  if t.shards < 0 then raise (Invalid "shards must be >= 0")
+  if t.trace_sample < 1 then raise (Invalid "trace_sample must be >= 1")
 
 (* The engine's one grain formula.  Adaptive: coarse enough that each
    chunk amortises its fixed costs (arena, frame, fork), fine enough (2

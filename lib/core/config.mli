@@ -36,6 +36,9 @@ val advisor_default : advisor
 type t = {
   threads : int;  (** fork/join pool size ([--threads=N]); 1 = caller only *)
   data_structures : data_structures;
+      (** the structure family of the engine's one Delta tree (and of
+          default Gamma stores): the paper's sequential-vs-concurrent
+          ablation *)
   no_delta : string list;
       (** [-noDelta T]: put T straight into Gamma, firing its rules
           immediately (§5.1) *)
@@ -63,7 +66,6 @@ type t = {
           indexes mid-run, reporting through metrics and the
           [advisor-promote] span kind *)
   max_steps : int option;  (** abort runaway programs *)
-  print_directly : bool;  (** bypass deterministic output collection *)
   tracing : Jstar_obs.Level.t;
       (** [Off]: zero-cost; [Counters]: metrics registry only; [Spans]:
           also record per-domain span rings for Chrome-trace export *)
@@ -110,17 +112,6 @@ type t = {
           the step number and live metrics registry — powers the CLI's
           [--metrics-every] periodic flush so crashed runs still leave
           a trail.  Runs inside the barrier: keep it cheap *)
-  shards : int;
-      (** shared-nothing sharded execution: partition Gamma and Delta
-          by tuple hash into [N] single-owner shards ({!Shard}).  Every
-          Delta-bound put is shipped to the owner shard's mailbox as a
-          message and drained at the step barrier — a cross-shard
-          watermark exchange (all mailboxes empty + all shards quiesced)
-          instead of locking shared pending structures.  [0] = unsharded
-          (the exact pre-sharding code paths); [1] = sharded machinery
-          with a single shard (message path exercised — useful for
-          testing).  Determinism digests, output streams and lineage are
-          bit-identical to unsharded runs (asserted by [test_shards]) *)
 }
 
 val default : t
@@ -146,8 +137,7 @@ val validate : t -> unit
 (** @raise Invalid for nonsensical combinations (0 threads, sequential
     structures with a multi-threaded pool, grain < 1, empty or
     non-positive index length lists, advisor thresholds out of range,
-    unknown kind names in [trace_suppress], [trace_sample < 1],
-    [shards < 0]). *)
+    unknown kind names in [trace_suppress], [trace_sample < 1]). *)
 
 val resolve_grain : t -> workers:int -> n:int -> int
 (** The fork/join leaf size for [n] items on [workers] workers under

@@ -357,7 +357,7 @@ let par_children t node =
 
 exception Duplicate
 
-let insert_raw t tuple ts =
+let insert t tuple ts =
   (* Walks down along the timestamp, adding to the final leaf; counts are
      incremented on the unwind only when the tuple was actually new, so a
      dedup hit leaves every count untouched. *)
@@ -376,30 +376,13 @@ let insert_raw t tuple ts =
             (depth + 1));
       Atomic.incr node.count)
   in
-  try
-    go t.root 0;
-    true
-  with Duplicate -> false
-
-let insert t tuple ts =
-  if insert_raw t tuple ts then begin
-    stripe_incr t.inserted;
-    true
-  end
-  else begin
-    stripe_incr t.deduped;
-    false
-  end
-
-(* Counter-free re-insertion, for the cross-shard extraction merge:
-   losing candidates of a class merge go back into their owning shard's
-   tree.  They were extracted moments ago with nothing inserted since
-   (extraction runs with no concurrent operations), so a duplicate is
-   impossible, and the lifetime statistics must not move — every pending
-   tuple is counted exactly once at its original insert, keeping
-   [inserted_total] / [deduped_total] bit-comparable with unsharded
-   runs. *)
-let reinsert t tuple ts = ignore (insert_raw t tuple ts)
+  match go t.root 0 with
+  | () ->
+      stripe_incr t.inserted;
+      true
+  | exception Duplicate ->
+      stripe_incr t.deduped;
+      false
 
 (* -- batched insertion ---------------------------------------------- *)
 

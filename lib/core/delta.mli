@@ -1,6 +1,7 @@
 (** The Delta tree: pending tuples of all tables in one multi-level
     priority structure ordered by the causality order, with duplicate
-    elimination on insert.
+    elimination on insert.  An engine has exactly one, and it is the
+    only place a put waits to run.
 
     Concurrency contract (matching the engine's step structure): any
     number of domains may {!insert} concurrently, but
@@ -35,14 +36,6 @@ val insert_batch : t -> Tuple.t array -> Timestamp.t array -> int -> bool array
     [i] was newly inserted; of several equal tuples in one batch, the
     first by input position wins.  Safe to run concurrently with
     {!insert}. *)
-
-val reinsert : t -> Tuple.t -> Timestamp.t -> unit
-(** Counter-free re-insertion for tuples just removed by
-    {!extract_min_class} that lost a cross-shard class merge
-    ({!Shard.extract_min_class}): puts the tuple back under its
-    timestamp without touching {!inserted_total} / {!deduped_total} —
-    every pending tuple is counted exactly once, at its original insert.
-    Single-threaded, like extraction. *)
 
 val extract_min_class : t -> Tuple.t list
 (** Remove and return all minimal tuples — one equivalence class of the

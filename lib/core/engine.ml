@@ -22,8 +22,10 @@
    split into chunks of [Config.grain] triggers ([Fixed 1] is the §5.2
    task per (tuple, rule)), and each chunk is a unit of work.  Every put
    lands in the scratch arena of the unit that made it — a firing chunk,
-   a [par_iter] leaf, or one feed, initial-put or action-handler call —
-   and the arena flushes into Delta when its unit ends.
+   a [par_iter] leaf, or one feed or action-handler call — and the arena
+   flushes into the one Delta tree when its unit ends.  There is one
+   extraction loop, [drain]: a whole run is a session fed its initial
+   puts once and drained.
 
    Set semantics: a put whose tuple is already in Gamma or already
    pending in Delta is dropped.  Duplicate drops are what terminate
@@ -88,10 +90,6 @@ type scratch = {
          tuples stay pending until the class barrier); cleared when the
          unit closes, at a cost proportional to what it holds. *)
   mutable sc_dups : int; (* drops by [sc_seen], reported at unit end *)
-  mutable sc_home : int;
-      (* the unit's owner shard under sharded execution ([-1] when
-         unknown or unsharded): flushes repartition by owner and ship
-         from here, so cross-shard counters attribute the traffic *)
   sc_cursor : (Value.t array * Tuple.t list) option array;
       (* by table id: the last probe of a probe-stable table in this
          unit.  A join-key-sorted chunk probes equal keys back to back,
@@ -153,12 +151,6 @@ type state = {
       (* one per domain that has opened a unit of this engine; appended
          under [lanes_mutex] (once per domain), read lock-free *)
   lanes_mutex : Mutex.t;
-  shard : Shard.t option;
-      (* Config.shards >= 1: shared-nothing sharded execution.  Gamma
-         and Delta are partitioned by tuple hash into single-owner
-         shards; every Delta-bound put ships to the owner's mailbox and
-         all mailboxes drain at the step barrier (the cross-shard
-         watermark exchange) before the next class is extracted *)
   current_ts : Timestamp.t option ref;
   processed : int ref;
   phases : phase_times;
@@ -220,9 +212,9 @@ type state = {
          Purely observational: never read by evaluation, so digests and
          deterministic counters are bit-identical with it on or off *)
   journal : Jstar_obs.Journal.t;
-      (* always-on structured event journal (step seals, watermark
-         rounds, advisor decisions, violations) — barrier-frequency
-         mutex + small alloc, never read by evaluation *)
+      (* always-on structured event journal (step seals, drains,
+         advisor decisions, violations) — barrier-frequency mutex +
+         small alloc, never read by evaluation *)
   last_violation : (string * Tuple.t list) option ref;
       (* set just before a Causality_violation raises: the message and
          the tuples it names, for the flight recorder's explain-tree
@@ -296,22 +288,6 @@ let make_state frozen config =
         else None)
       tables
   in
-  let shard =
-    if config.Config.shards >= 1 then begin
-      (* The extraction merge recomputes pending tuples' timestamps;
-         route it through the same memoised projection as the put path
-         so literal-only tables stay O(1). *)
-      let ts_of tuple =
-        match const_ts.((Tuple.schema tuple).Schema.id) with
-        | Some ts -> ts
-        | None -> Timestamp.of_tuple order tuple
-      in
-      Some
-        (Shard.create ~shards:config.Config.shards
-           ~nlits:frozen.Program.nlits ~ts_of ())
-    end
-    else None
-  in
   let gamma =
     Array.mapi
       (fun i s ->
@@ -322,69 +298,14 @@ let make_state frozen config =
             | Some lens -> lens
             | None -> []
           in
-          let is_custom =
-            match List.assoc_opt s.Schema.name config.Config.stores with
-            | Some (Store.Custom _) -> true
-            | _ -> false
-          in
-          match shard with
-          | Some sh when not is_custom ->
-              (* One sub-store per shard, each individually wrapped, so
-                 an owner task touches only its own shard's primary and
-                 indexes.  Custom stores keep their single instance —
-                 they manage their own lifetime and the router cannot
-                 split a handle-backed native array. *)
-              indexable.(i) <- true;
-              let n = Shard.count sh in
-              let wrap = declared <> [] || advisor_on in
-              let hsubs = Array.make n None in
-              let subs =
-                Array.init n (fun k ->
-                    let base, _ = store_for config ~parallel s in
-                    if wrap then begin
-                      let store, h =
-                        Store.indexed ~prefix_lens:declared s base
-                      in
-                      hsubs.(k) <- Some h;
-                      store
-                    end
-                    else base)
-              in
-              if wrap then begin
-                let hs = Array.map (fun h -> Option.get h) hsubs in
-                (* The combined handle fans promotions over every
-                   shard's index set; lens are uniform across shards by
-                   construction, so shard 0 answers for all. *)
-                handles.(i) <-
-                  Some
-                    {
-                      Store.ih_promote =
-                        (fun len ->
-                          Array.fold_left
-                            (fun acc h ->
-                              let r = h.Store.ih_promote len in
-                              acc || r)
-                            false hs);
-                      ih_demote =
-                        (fun len ->
-                          Array.fold_left
-                            (fun acc h ->
-                              let r = h.Store.ih_demote len in
-                              acc || r)
-                            false hs);
-                      ih_lens = (fun () -> hs.(0).Store.ih_lens ());
-                    }
-              end;
-              Shard.gamma_router ~owner:(Shard.owner_of sh) subs
-          | _ ->
-              let base, wrappable = store_for config ~parallel s in
-              indexable.(i) <- wrappable;
-              if wrappable && (declared <> [] || advisor_on) then begin
-                let store, h = Store.indexed ~prefix_lens:declared s base in
-                handles.(i) <- Some h;
-                store
-              end
-              else base
+          let base, wrappable = store_for config ~parallel s in
+          indexable.(i) <- wrappable;
+          if wrappable && (declared <> [] || advisor_on) then begin
+            let store, h = Store.indexed ~prefix_lens:declared s base in
+            handles.(i) <- Some h;
+            store
+          end
+          else base
         end)
       tables
   in
@@ -511,7 +432,6 @@ let make_state frozen config =
           { l_domain = (Domain.self () :> int); l_open = [||]; l_depth = 0 };
         |];
     lanes_mutex = Mutex.create ();
-    shard;
     current_ts = ref None;
     processed = ref 0;
     phases = { t_extract = 0.0; t_gamma = 0.0; t_rules = 0.0 };
@@ -551,56 +471,12 @@ let make_state frozen config =
     last_violation = ref None;
   }
   in
-  (* Causal stamping observer: every mailbox post emits the send half
-     of a flow pair on the producing domain's ring, bound to the recv
-     half (emitted by the barrier drain) by the message's stamp. *)
-  (match st.shard with
-  | Some sh ->
-      Shard.set_on_post sh (fun ~src:_ ~dest ~seq ~len:_ ->
-          if st.trace_spans then
-            Jstar_obs.Tracer.flow_send st.obs
-              ~arg:(Jstar_obs.Tracer.shard_arg ~shard:dest ~seq)
-              Jstar_obs.Kind.shard_msg)
-  | None -> ());
   (* Pull-based registry sources: closures read live engine state only
      when a snapshot is taken, so registration costs nothing per put. *)
   Jstar_obs.Metrics.register_gauge metrics ~name:"delta.size" (fun () ->
-      Jstar_obs.Metrics.Int
-        (match st.shard with
-        | Some sh -> Shard.size sh
-        | None -> Delta.size st.delta));
+      Jstar_obs.Metrics.Int (Delta.size st.delta));
   Jstar_obs.Metrics.register_gauge metrics ~name:"delta.depth" (fun () ->
-      Jstar_obs.Metrics.Int
-        (match st.shard with
-        | Some sh -> Shard.depth sh
-        | None -> Delta.depth st.delta));
-  (match st.shard with
-  | Some sh ->
-      let n = Shard.count sh in
-      Jstar_obs.Metrics.register_gauge metrics ~name:"shard.count" (fun () ->
-          Jstar_obs.Metrics.Int n);
-      Jstar_obs.Metrics.register_gauge metrics ~name:"shard.mailbox_backlog"
-        (fun () -> Jstar_obs.Metrics.Int (Shard.backlog_total sh));
-      Jstar_obs.Metrics.register_counter metrics ~name:"shard.msgs_posted"
-        (fun () -> Shard.msgs_posted sh);
-      Jstar_obs.Metrics.register_counter metrics ~name:"shard.msgs_cross"
-        (fun () -> Shard.msgs_cross sh);
-      Jstar_obs.Metrics.register_counter metrics ~name:"shard.tuples_shipped"
-        (fun () -> Shard.tuples_shipped sh);
-      Jstar_obs.Metrics.register_counter metrics ~name:"shard.tuples_cross"
-        (fun () -> Shard.tuples_cross sh);
-      for k = 0 to n - 1 do
-        Jstar_obs.Metrics.register_gauge metrics
-          ~name:(Printf.sprintf "shard.%d.delta_size" k)
-          (fun () -> Jstar_obs.Metrics.Int (Delta.size (Shard.delta sh k)));
-        Jstar_obs.Metrics.register_gauge metrics
-          ~name:(Printf.sprintf "shard.%d.mailbox_backlog" k)
-          (fun () -> Jstar_obs.Metrics.Int (Shard.backlogs sh).(k));
-        Jstar_obs.Metrics.register_counter metrics
-          ~name:(Printf.sprintf "shard.%d.msgs_posted" k)
-          (fun () -> Shard.msgs_posted_to sh k)
-      done
-  | None -> ());
+      Jstar_obs.Metrics.Int (Delta.depth st.delta));
   Jstar_obs.Metrics.register_gauge metrics ~name:"engine.put_flush_threshold"
     (fun () -> Jstar_obs.Metrics.Int scratch_flush_threshold);
   Array.iteri
@@ -892,35 +768,24 @@ let flush_scratch st sc =
       let t = sc.sc_tuples.(i) in
       tss.(i) <- timestamp_of st (Tuple.schema t).Schema.id t
     done;
-    match st.shard with
-    | Some sh ->
-        (* Sharded: the arena repartitions by owner and ships one
-           message per destination — tuples owned by [sc_home] loop back
-           through its own mailbox (cheap, and it keeps the single-owner
-           invariant on the trees unconditional).  Stats are counted at
-           the drain, where the insert outcome is known. *)
-        Shard.post_partitioned sh ~from:sc.sc_home sc.sc_tuples tss n;
-        sc.sc_len <- 0
-    | None ->
-        (* [Delta.insert_batch] is safe under concurrent insertion, so
-           units flush without coordination; stats are aggregated per
-           table first — two atomic ops per table, not one per put. *)
-        let res = Delta.insert_batch st.delta sc.sc_tuples tss n in
-        let ntab = Array.length st.gamma in
-        let ins = Array.make ntab 0 and dup = Array.make ntab 0 in
-        for i = 0 to n - 1 do
-          let id = (Tuple.schema sc.sc_tuples.(i)).Schema.id in
-          if res.(i) then ins.(id) <- ins.(id) + 1
-          else dup.(id) <- dup.(id) + 1
-        done;
-        sc.sc_len <- 0;
-        for id = 0 to ntab - 1 do
-          if ins.(id) > 0 || dup.(id) > 0 then begin
-            let c = Table_stats.counters st.stats id in
-            Table_stats.add c.Table_stats.delta_inserts ins.(id);
-            Table_stats.add c.Table_stats.delta_dups dup.(id)
-          end
-        done
+    (* [Delta.insert_batch] is safe under concurrent insertion, so units
+       flush without coordination; stats are aggregated per table first
+       — two atomic ops per table, not one per put. *)
+    let res = Delta.insert_batch st.delta sc.sc_tuples tss n in
+    let ntab = Array.length st.gamma in
+    let ins = Array.make ntab 0 and dup = Array.make ntab 0 in
+    for i = 0 to n - 1 do
+      let id = (Tuple.schema sc.sc_tuples.(i)).Schema.id in
+      if res.(i) then ins.(id) <- ins.(id) + 1 else dup.(id) <- dup.(id) + 1
+    done;
+    sc.sc_len <- 0;
+    for id = 0 to ntab - 1 do
+      if ins.(id) > 0 || dup.(id) > 0 then begin
+        let c = Table_stats.counters st.stats id in
+        Table_stats.add c.Table_stats.delta_inserts ins.(id);
+        Table_stats.add c.Table_stats.delta_dups dup.(id)
+      end
+    done
   end
 
 (* Empty an arena for its next unit.  Each reset costs what the arena
@@ -938,7 +803,7 @@ let reset sc =
 (* Run [f ()] as one unit of work on the calling domain, in the arena at
    its nesting depth; the arena flushes when [f] returns.  An exception
    abandons the unit's pending puts along with the run it escapes. *)
-let in_unit st ~home f =
+let in_unit st f =
   let lane = lane st in
   let d = lane.l_depth in
   if d = Array.length lane.l_open then
@@ -950,22 +815,16 @@ let in_unit st ~home f =
             sc_len = 0;
             sc_seen = Tuple.Dset.create 64;
             sc_dups = 0;
-            sc_home = -1;
             sc_cursor = Array.make (Array.length st.gamma) None;
             sc_cursor_used = false;
           };
         |];
   let sc = lane.l_open.(d) in
-  sc.sc_home <- home;
   lane.l_depth <- d + 1;
   (match f () with
   | () ->
       flush_scratch st sc;
-      if sc.sc_dups > 0 then begin
-        match st.shard with
-        | Some sh -> Shard.note_deduped sh sc.sc_dups
-        | None -> Delta.note_deduped st.delta sc.sc_dups
-      end
+      if sc.sc_dups > 0 then Delta.note_deduped st.delta sc.sc_dups
   | exception e ->
       reset sc;
       lane.l_depth <- d;
@@ -975,7 +834,8 @@ let in_unit st ~home f =
 
 (* The arena of the calling domain's innermost open unit.  Every put
    and probe runs inside a unit: rule bodies in a firing chunk or a
-   [par_iter] leaf, feeds, initial puts and action handlers. *)
+   [par_iter] leaf, feeds (a run's initial puts are one) and action
+   handlers. *)
 let current st =
   let lane = lane st in
   lane.l_open.(lane.l_depth - 1)
@@ -988,25 +848,25 @@ let grain_for st n =
       Config.resolve_grain st.config ~workers:(Jstar_sched.Pool.size pool) ~n
   | None -> max 1 n
 
-(* [(home, lo, hi)] tasks covering [lo, hi) in [grain]-sized chunks,
-   prepended to [acc] in reverse order. *)
-let rec chunk_tasks ~grain ~home lo hi acc =
-  if lo >= hi then acc
-  else
-    let e = min hi (lo + grain) in
-    chunk_tasks ~grain ~home e hi ((home, lo, e) :: acc)
-
-(* Run [f ~home lo hi] per task: as fork/join tasks when there is a pool
-   and more than one task, inline otherwise. *)
-let run_tasks st tasks f =
-  match (st.pool, tasks) with
-  | Some pool, _ :: _ :: _ ->
-      let tasks = Array.of_list tasks in
-      Jstar_sched.Forkjoin.parallel_for pool ~grain:1 ~lo:0
-        ~hi:(Array.length tasks) (fun i ->
-          let home, lo, hi = tasks.(i) in
-          f ~home lo hi)
-  | _ -> List.iter (fun (home, lo, hi) -> f ~home lo hi) tasks
+(* Run [f a b] over [lo, hi) in [grain]-sized chunks: as fork/join
+   tasks when there is a pool and more than one chunk, inline
+   otherwise. *)
+let run_chunks st ~grain lo hi f =
+  match st.pool with
+  | Some pool when hi - lo > grain ->
+      let n = (hi - lo + grain - 1) / grain in
+      Jstar_sched.Forkjoin.parallel_for pool ~grain:1 ~lo:0 ~hi:n (fun i ->
+          let a = lo + (i * grain) in
+          f a (min hi (a + grain)))
+  | _ ->
+      let rec go a =
+        if a < hi then begin
+          let b = min hi (a + grain) in
+          f a b;
+          go b
+        end
+      in
+      go lo
 
 (* ------------------------------------------------------------------ *)
 (* Put routing                                                         *)
@@ -1161,10 +1021,7 @@ let make_ctx st =
           in
           if st.prov_or_audit then scan_wrapped st iter f else iter f);
       store_of = (fun schema -> st.gamma.(schema.Schema.id));
-      println =
-        (fun line ->
-          if st.config.Config.print_directly then print_endline line
-          else Jstar_cds.Treiber_stack.push st.out_buf line);
+      println = (fun line -> Jstar_cds.Treiber_stack.push st.out_buf line);
       class_ts = (fun () -> !(st.current_ts));
       par_iter =
         (fun lo hi f ->
@@ -1200,12 +1057,8 @@ let make_ctx st =
               in
               (* Each leaf is a unit: its puts land in an arena owned by
                  the domain running it, never in the firing's. *)
-              let tasks =
-                chunk_tasks ~grain:(grain_for st (hi - lo))
-                  ~home:(current st).sc_home lo hi []
-              in
-              run_tasks st (List.rev tasks) (fun ~home a b ->
-                  in_unit st ~home (fun () -> leaf a b))
+              run_chunks st ~grain:(grain_for st (hi - lo)) lo hi (fun a b ->
+                  in_unit st (fun () -> leaf a b))
           | _ ->
               for i = lo to hi - 1 do
                 f i
@@ -1226,9 +1079,8 @@ let make_ctx st =
    firing order is free under the law of causality, so none of this
    changes what any rule observes. *)
 
-(* Fire rule [r] for [chunk.(lo..hi-1)] as one unit.  [home] is the
-   unit's owner shard under sharded execution ([-1] unsharded). *)
-let fire_chunk st ctx r id ~home chunk lo hi =
+(* Fire rule [r] for [chunk.(lo..hi-1)] as one unit. *)
+let fire_chunk st ctx r id chunk lo hi =
   let t0 = if st.trace_batch_fire then Jstar_obs.Monotonic.now_ns () else 0 in
   (* One profiler frame for the whole chunk, credited [hi - lo] firings:
      chunking amortises the bracket the same way it amortises every
@@ -1240,7 +1092,7 @@ let fire_chunk st ctx r id ~home chunk lo hi =
     | Some p -> Jstar_obs.Profiler.fire_start p
     | None -> 0
   in
-  in_unit st ~home (fun () ->
+  in_unit st (fun () ->
       if st.prov_or_audit then
         in_frame (fun fr ->
             for i = lo to hi - 1 do
@@ -1276,8 +1128,7 @@ let key_cmp pos a b =
 
 (* Phase B over the accepted class: walk the (already grouped) class as
    contiguous per-table runs and fire each (rule, run) pair as chunks of
-   [Config.grain] triggers — per owner shard under multi-shard
-   execution, so every chunk has a home. *)
+   [Config.grain] triggers. *)
 let fire_rules_batch st ctx to_fire =
   let n = Array.length to_fire in
   let lo = ref 0 in
@@ -1307,41 +1158,8 @@ let fire_rules_batch st ctx to_fire =
                   (copy, 0, width)
               | _ -> (to_fire, rlo, rhi)
             in
-            let arr, tasks =
-              match st.shard with
-              | Some sh when Shard.count sh > 1 ->
-                  (* Stable-partition the (already join-key-sorted) run
-                     by owner shard: sorted order survives within each
-                     segment, so the probe cursor still sees equal keys
-                     back to back. *)
-                  let nsh = Shard.count sh in
-                  let starts = Array.make (nsh + 1) 0 in
-                  for i = clo to chi - 1 do
-                    let o = Shard.owner_of sh arr.(i) in
-                    starts.(o + 1) <- starts.(o + 1) + 1
-                  done;
-                  for k = 0 to nsh - 1 do
-                    starts.(k + 1) <- starts.(k) + starts.(k + 1)
-                  done;
-                  let part = Array.make width arr.(clo) in
-                  let fill = Array.copy starts in
-                  for i = clo to chi - 1 do
-                    let o = Shard.owner_of sh arr.(i) in
-                    part.(fill.(o)) <- arr.(i);
-                    fill.(o) <- fill.(o) + 1
-                  done;
-                  let tasks = ref [] in
-                  for k = 0 to nsh - 1 do
-                    tasks :=
-                      chunk_tasks ~grain ~home:k starts.(k) starts.(k + 1)
-                        !tasks
-                  done;
-                  (part, !tasks)
-              | Some _ -> (arr, chunk_tasks ~grain ~home:0 clo chi [])
-              | None -> (arr, chunk_tasks ~grain ~home:(-1) clo chi [])
-            in
-            run_tasks st (List.rev tasks) (fun ~home tlo thi ->
-                fire_chunk st ctx r id ~home arr tlo thi))
+            run_chunks st ~grain clo chi (fun tlo thi ->
+                fire_chunk st ctx r id arr tlo thi))
           rules);
     lo := rhi
   done
@@ -1372,7 +1190,7 @@ let run_class_effects st ctx tuples =
         | None -> ());
         match st.frozen.Program.action_of.(id) with
         | Some handler ->
-            in_unit st ~home:(-1) (fun () ->
+            in_unit st (fun () ->
                 if st.prov_or_audit then
                   in_frame (fun fr ->
                       enter_firing fr ~rule:Prov_frame.action_rule
@@ -1382,82 +1200,6 @@ let run_class_effects st ctx tuples =
         | None -> ())
       sorted
   end
-
-(* The step barrier's cross-shard watermark exchange.  Every unit has
-   already posted its puts to their owners' mailboxes (arenas flush when
-   their unit ends), so one drain round reaches quiescence: each owner
-   drains its own mailbox into its own sequential Delta — one task per
-   shard, no cross-domain contention on the trees — and draining only
-   inserts, never posts.  Unsharded arenas flush straight into Delta, so
-   there is nothing to do. *)
-let drain_mailboxes st =
-  match st.shard with
-  | None -> ()
-  | Some sh ->
-      let flush_t0 =
-        if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0
-      in
-      let pending = if st.trace_spans then Shard.backlog_total sh else 0 in
-      let n = Shard.count sh in
-      let ntab = Array.length st.gamma in
-      let drain_one k =
-        let d0 = if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0 in
-        let delta = Shard.delta sh k in
-        let ins = Array.make ntab 0 and dup = Array.make ntab 0 in
-        let any = ref false and nmsgs = ref 0 in
-        Shard.drain sh k ~f:(fun m ->
-            any := true;
-            incr nmsgs;
-            (* the recv half of the causal flow pair, on the draining
-               domain's ring; the exporter re-routes it onto shard [k]'s
-               named track and binds it to the send by the stamp *)
-            if st.trace_spans then
-              Jstar_obs.Tracer.flow_recv st.obs
-                ~arg:(Jstar_obs.Tracer.shard_arg ~shard:k ~seq:m.Shard.m_seq)
-                Jstar_obs.Kind.shard_msg;
-            let res =
-              Delta.insert_batch delta m.Shard.m_tuples m.Shard.m_ts
-                m.Shard.m_len
-            in
-            for i = 0 to m.Shard.m_len - 1 do
-              let id = (Tuple.schema m.Shard.m_tuples.(i)).Schema.id in
-              if res.(i) then ins.(id) <- ins.(id) + 1
-              else dup.(id) <- dup.(id) + 1
-            done);
-        if !any then begin
-          for id = 0 to ntab - 1 do
-            if ins.(id) > 0 || dup.(id) > 0 then begin
-              let c = Table_stats.counters st.stats id in
-              Table_stats.add c.Table_stats.delta_inserts ins.(id);
-              Table_stats.add c.Table_stats.delta_dups dup.(id)
-            end
-          done;
-          if st.trace_spans then
-            Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.shard_drain
-              ~arg:(Jstar_obs.Tracer.shard_arg ~shard:k ~seq:!nmsgs)
-              ~ts:d0
-              ~dur:(Jstar_obs.Monotonic.now_ns () - d0)
-        end
-      in
-      (match st.pool with
-      | Some pool when n > 1 ->
-          Jstar_sched.Forkjoin.parallel_for pool ~grain:1 ~lo:0 ~hi:n
-            drain_one
-      | _ ->
-          for k = 0 to n - 1 do
-            drain_one k
-          done);
-      assert (Shard.quiesced sh);
-      Jstar_obs.Journal.debug st.journal ~comp:"shard" ~event:"watermark"
-        [
-          ("step", Jstar_obs.Json.Num (float_of_int !(st.step_no)));
-          ( "msgs_posted",
-            Jstar_obs.Json.Num (float_of_int (Shard.msgs_posted sh)) );
-        ];
-      if st.trace_spans then
-        Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.barrier_flush
-          ~arg:pending ~ts:flush_t0
-          ~dur:(Jstar_obs.Monotonic.now_ns () - flush_t0)
 
 let flush_step_outputs st =
   match Jstar_cds.Treiber_stack.pop_all st.out_buf with
@@ -1576,9 +1318,8 @@ let run_step st ctx tuples =
   let t1 = now () in
   fire_rules_batch st ctx to_fire;
   st.phases.t_rules <- st.phases.t_rules +. (now () -. t1);
-  (* Barrier: everything the class put becomes pending before the next
-     class is extracted. *)
-  drain_mailboxes st;
+  (* Barrier: every unit has flushed, so everything the class put is
+     pending before the next class is extracted. *)
   flush_step_outputs st;
   merge_lineage st;
   (* End-of-step barrier: no rule task is live, so the advisor may
@@ -1636,21 +1377,7 @@ let run_step st ctx tuples =
             })
           st.pool
       in
-      let shards =
-        Option.map
-          (fun sh ->
-            {
-              Jstar_obs.Profiler.sh_occupancy = Shard.occupancy sh;
-              sh_backlog = Shard.backlogs sh;
-              sh_msgs = Shard.msgs_posted sh;
-              sh_msgs_cross = Shard.msgs_cross sh;
-              sh_tuples = Shard.tuples_shipped sh;
-              sh_tuples_cross = Shard.tuples_cross sh;
-            })
-          st.shard
-      in
-      Jstar_obs.Profiler.step_barrier p ~puts ~queries ~gamma:gsize ?sched
-        ?shards ()
+      Jstar_obs.Profiler.step_barrier p ~puts ~queries ~gamma:gsize ?sched ()
   | None -> ());
   (* Step seal: the step's identity in the journal — Debug severity, so
      a Warn-filtered journal keeps only transitions and violations. *)
@@ -1699,118 +1426,58 @@ let compute_digest st =
       }
   end
 
-(* Pending-structure accessors that dispatch on the execution mode:
-   sharded state lives in the per-shard trees, unsharded in the one
-   global Delta. *)
-let extract_class st =
-  match st.shard with
-  | Some sh -> Shard.extract_min_class sh
-  | None -> Delta.extract_min_class st.delta
-
-let pending_inserted st =
-  match st.shard with
-  | Some sh -> Shard.inserted_total sh
-  | None -> Delta.inserted_total st.delta
-
-let pending_deduped st =
-  match st.shard with
-  | Some sh -> Shard.deduped_total sh
-  | None -> Delta.deduped_total st.delta
-
-let run_state st ~init =
-  let t_start = now () in
-  let ctx = make_ctx st in
-  in_unit st ~home:(-1) (fun () -> List.iter (route_put st ctx) init);
-  drain_mailboxes st;
-  flush_step_outputs st;
-  merge_lineage st;
-  let steps = ref 0 in
-  let rec loop () =
-    let e0 = if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0 in
-    let t0 = now () in
-    let klass = extract_class st in
-    st.phases.t_extract <- st.phases.t_extract +. (now () -. t0);
-    if st.trace_spans then
-      Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.extract
-        ~arg:(List.length klass) ~ts:e0
-        ~dur:(Jstar_obs.Monotonic.now_ns () - e0);
-    match klass with
-    | [] -> ()
-    | tuples ->
-        incr steps;
-        (match st.config.Config.max_steps with
-        | Some limit when !steps > limit -> raise (Step_limit_exceeded limit)
-        | _ -> ());
-        run_step st ctx tuples;
-        loop ()
-  in
-  loop ();
-  {
-    outputs = List.rev !(st.outputs);
-    steps = !steps;
-    tuples_processed = !(st.processed);
-    elapsed = now () -. t_start;
-    delta_inserted = pending_inserted st;
-    delta_deduped = pending_deduped st;
-    stats = st.stats;
-    phases = st.phases;
-    tracer = st.obs;
-    metrics = st.metrics;
-    lineage = st.lineage;
-    digest = compute_digest st;
-  }
-
-let run_with_gamma ?(init = []) frozen config =
-  let st = make_state frozen config in
-  let finish () =
-    match st.pool with Some p -> Jstar_sched.Pool.shutdown p | None -> ()
-  in
-  Fun.protect ~finally:finish (fun () ->
-      let result = run_state st ~init in
-      (result, fun schema -> st.gamma.(schema.Schema.id)))
-
-let run ?init frozen config = fst (run_with_gamma ?init frozen config)
-
-let run_program ?init program config = run ?init (Program.freeze program) config
-
-
 (* ------------------------------------------------------------------ *)
 (* Event-driven sessions (§3): "Event-driven programming with external
    input tuples fits elegantly into this framework — the input tuples
    are added to the Delta Set, and can then trigger various rules."
    A session keeps the engine state alive between batches of external
    input; [feed] enqueues tuples and [drain] runs to quiescence,
-   returning the outputs produced since the previous drain. *)
+   returning the outputs produced since the previous drain.  A whole
+   run is one session: one feed of the initial puts and one drain. *)
 
 type session = {
   st : state;
   ctx : Rule.ctx;
   mutable session_steps : int;
   mutable outputs_seen : int;
+  mutable busy : float; (* wall seconds spent inside [feed] and [drain] *)
   mutable finished : bool;
 }
 
 let start frozen config =
   let st = make_state frozen config in
-  { st; ctx = make_ctx st; session_steps = 0; outputs_seen = 0; finished = false }
+  {
+    st;
+    ctx = make_ctx st;
+    session_steps = 0;
+    outputs_seen = 0;
+    busy = 0.0;
+    finished = false;
+  }
 
 let feed session tuples =
   if session.finished then invalid_arg "Engine.feed: session finished";
+  let t0 = now () in
   (* One unit per call: the feed's puts reach Delta when it returns. *)
-  in_unit session.st ~home:(-1) (fun () ->
-      List.iter (route_put session.st session.ctx) tuples)
+  in_unit session.st (fun () ->
+      List.iter (route_put session.st session.ctx) tuples);
+  session.busy <- session.busy +. (now () -. t0)
 
+(* The engine's one extraction loop: remove the minimal class from
+   Delta and run it as a step, until Delta is empty. *)
 let drain session =
   if session.finished then invalid_arg "Engine.drain: session finished";
   let st = session.st in
+  let t_start = now () in
   let drain_t0 =
     if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0
   in
-  drain_mailboxes st;
   flush_step_outputs st;
   let rec loop () =
     let e0 = if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0 in
-    let klass = extract_class st in
+    let t0 = now () in
+    let klass = Delta.extract_min_class st.delta in
+    st.phases.t_extract <- st.phases.t_extract +. (now () -. t0);
     if st.trace_spans then
       Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.extract
         ~arg:(List.length klass) ~ts:e0
@@ -1851,6 +1518,7 @@ let drain session =
       ("outputs", Jstar_obs.Json.Num (float_of_int fresh_n));
       ("processed", Jstar_obs.Json.Num (float_of_int !(st.processed)));
     ];
+  session.busy <- session.busy +. (now () -. t_start);
   fresh
 
 let session_gamma session schema =
@@ -1868,57 +1536,47 @@ let session_journal session = session.st.journal
 let session_violation session = !(session.st.last_violation)
 
 let session_delta session =
-  match session.st.shard with
-  | Some sh -> (Shard.size sh, Shard.depth sh)
-  | None -> (Delta.size session.st.delta, Delta.depth session.st.delta)
+  (Delta.size session.st.delta, Delta.depth session.st.delta)
 
-type shard_stats = {
-  sh_count : int;
-  sh_occupancy : int array;
-  sh_backlog : int array;
-  sh_msgs_posted : int;
-  sh_msgs_cross : int;
-  sh_tuples_shipped : int;
-  sh_tuples_cross : int;
-}
-
-let session_shards session =
-  Option.map
-    (fun sh ->
-      {
-        sh_count = Shard.count sh;
-        sh_occupancy = Shard.occupancy sh;
-        sh_backlog = Shard.backlogs sh;
-        sh_msgs_posted = Shard.msgs_posted sh;
-        sh_msgs_cross = Shard.msgs_cross sh;
-        sh_tuples_shipped = Shard.tuples_shipped sh;
-        sh_tuples_cross = Shard.tuples_cross sh;
-      })
-    session.st.shard
-
-let finish session =
+let shutdown session =
   if not session.finished then begin
     session.finished <- true;
-    match session.st.pool with
-    | Some p -> Jstar_sched.Pool.shutdown p
-    | None -> ()
-  end;
+    Option.iter Jstar_sched.Pool.shutdown session.st.pool
+  end
+
+let finish session =
+  shutdown session;
+  let st = session.st in
   (* Cover tuples fed since the last drain. *)
-  merge_lineage session.st;
+  merge_lineage st;
   {
-    outputs = List.rev !(session.st.outputs);
+    outputs = List.rev !(st.outputs);
     steps = session.session_steps;
-    tuples_processed = !(session.st.processed);
-    elapsed = 0.0;
-    delta_inserted = pending_inserted session.st;
-    delta_deduped = pending_deduped session.st;
-    stats = session.st.stats;
-    phases = session.st.phases;
-    tracer = session.st.obs;
-    metrics = session.st.metrics;
-    lineage = session.st.lineage;
-    digest = compute_digest session.st;
+    tuples_processed = !(st.processed);
+    elapsed = session.busy;
+    delta_inserted = Delta.inserted_total st.delta;
+    delta_deduped = Delta.deduped_total st.delta;
+    stats = st.stats;
+    phases = st.phases;
+    tracer = st.obs;
+    metrics = st.metrics;
+    lineage = st.lineage;
+    digest = compute_digest st;
   }
+
+(* A run is a session fed once: the pool shuts down however it ends. *)
+let run_with_gamma ?(init = []) frozen config =
+  let session = start frozen config in
+  Fun.protect
+    ~finally:(fun () -> shutdown session)
+    (fun () ->
+      feed session init;
+      ignore (drain session);
+      (finish session, session_gamma session))
+
+let run ?init frozen config = fst (run_with_gamma ?init frozen config)
+
+let run_program ?init program config = run ?init (Program.freeze program) config
 
 (* ------------------------------------------------------------------ *)
 (* Durability hooks.  The persistence layer (jstar_persist) depends on
@@ -1977,11 +1635,7 @@ let load_tuple session tuple =
     | None -> ()
   end
 
-let session_pending session =
-  let st = session.st in
-  match st.shard with
-  | Some sh -> Shard.size sh + Shard.backlog_total sh
-  | None -> Delta.size st.delta
+let session_pending session = Delta.size session.st.delta
 
 let stored_tables session =
   let st = session.st in

@@ -6,9 +6,14 @@
     then fires all triggered rules as chunks of [Config.grain] triggers
     (parallel barrier).  Every put lands in the scratch arena of the
     unit of work that made it — a firing chunk, a [par_iter] leaf, or
-    one {!feed}, initial-put or action-handler call — and reaches Delta
-    when that unit ends.  Tuples already present in Gamma or Delta are
-    dropped (set semantics). *)
+    one {!feed} or action-handler call — and reaches Delta when that
+    unit ends.  Tuples already present in Gamma or Delta are dropped
+    (set semantics).
+
+    There is one pending structure, the {!Delta} tree (sequential or
+    concurrent per [Config.data_structures]), and one extraction loop,
+    {!drain}.  A {!run} is a session: {!start}, one {!feed} of the
+    initial puts, {!drain}, then {!finish}. *)
 
 exception Causality_violation of string
 (** Raised by the runtime auditor ([Config.audit_causality]) when a put
@@ -51,7 +56,8 @@ type result = {
       (** println/output lines, deterministic regardless of schedule *)
   steps : int;  (** number of equivalence classes executed *)
   tuples_processed : int;
-  elapsed : float;  (** wall-clock seconds *)
+  elapsed : float;
+      (** wall-clock seconds spent inside {!feed} and {!drain} *)
   delta_inserted : int;
   delta_deduped : int;
   stats : Table_stats.t;
@@ -70,7 +76,9 @@ type result = {
 }
 
 val run : ?init:Tuple.t list -> Program.frozen -> Config.t -> result
-(** Execute a frozen program from the initial puts to quiescence. *)
+(** Execute a frozen program from the initial puts to quiescence: a
+    session fed [init] once, drained and finished.  The pool shuts down
+    even when the run raises. *)
 
 val run_with_gamma :
   ?init:Tuple.t list ->
@@ -96,13 +104,17 @@ val feed : session -> Tuple.t list -> unit
     one unit of work: its puts reach Delta when it returns. *)
 
 val drain : session -> string list
-(** Run to quiescence; returns the outputs produced by this drain. *)
+(** Run to quiescence — the engine's one extraction loop, where
+    [max_steps] is checked against the session's step count — and
+    return the outputs produced by this drain. *)
 
 val session_gamma : session -> Schema.t -> Store.t
 (** Inspect a table's Gamma store between drains. *)
 
 val finish : session -> result
-(** Shut the session's pool down and summarise.  Idempotent. *)
+(** Shut the session's pool down and summarise: [steps] counts every
+    class the session ran, [elapsed] its time inside {!feed} and
+    {!drain}.  Idempotent. *)
 
 (** {2 Live introspection}
 
@@ -129,8 +141,8 @@ val session_frozen : session -> Program.frozen
     parsing). *)
 
 val session_journal : session -> Jstar_obs.Journal.t
-(** The always-on structured event journal (step seals, watermark
-    rounds, advisor decisions, violations) — the flight recorder's
+(** The always-on structured event journal (step seals, drains,
+    advisor decisions, violations) — the flight recorder's
     first bundle section and a [/dump] input.  Safe-stale monitoring
     reads, like every accessor here. *)
 
@@ -141,23 +153,7 @@ val session_violation : session -> (string * Tuple.t list) option
     violation occurs. *)
 
 val session_delta : session -> int * int
-(** Current pending (size, depth) — heartbeat fields.  Under sharded
-    execution, summed (size) / maxed (depth) over the shard trees. *)
-
-type shard_stats = {
-  sh_count : int;
-  sh_occupancy : int array;  (** per-shard pending tuples *)
-  sh_backlog : int array;  (** per-shard queued mailbox messages *)
-  sh_msgs_posted : int;
-  sh_msgs_cross : int;
-  sh_tuples_shipped : int;
-  sh_tuples_cross : int;
-}
-
-val session_shards : session -> shard_stats option
-(** Sharded-execution occupancy and message counters ([/health] extras,
-    bench assertions); [None] when [Config.shards = 0].  Safe-stale
-    reads from a monitoring thread, like every accessor above. *)
+(** Current pending (size, depth) — heartbeat fields. *)
 
 (** {1 Durability hooks}
 
@@ -196,10 +192,9 @@ val load_tuple : session -> Tuple.t -> unit
     tuples are never snapshotted. *)
 
 val session_pending : session -> int
-(** Tuples waiting in Delta (or, sharded, in shard mailboxes).  Zero
-    after a drain;
-    a checkpoint taken while nonzero would silently drop them, so the
-    persistence layer refuses. *)
+(** Tuples waiting in Delta.  Zero after a drain; a checkpoint taken
+    while nonzero would silently drop them, so the persistence layer
+    refuses. *)
 
 val stored_tables : session -> Schema.t list
 (** Tables whose Gamma is retained (not [-noGamma]), declaration

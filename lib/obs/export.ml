@@ -53,57 +53,18 @@ let metadata_event em ~name ~tid ~value =
       ("args", Json.Obj [ ("name", Json.Str value) ]);
     ]
 
-(* Shards get named tracks above the domain tids so a cross-shard
-   derivation reads as one causal flow: sends sit on the producing
-   domain's track, drain spans and recv halves on the owning shard's.
-   Domain tids are small OS-assigned ids; 10000 leaves them room. *)
-let shard_tid_base = 10000
-let shard_tid shard = shard_tid_base + shard
-
-(* Chrome flow events bind s/f halves by (cat, id, name); the message
-   sequence stamp is globally unique, so it serves as the id. *)
-let flow_event em ~name ~ph ~ts_ns ~tid ~id ~binding ~arg =
-  event em
-    ([
-       ("name", Json.Str name);
-       ("cat", Json.Str "shard");
-       ("ph", Json.Str ph);
-       ("id", Json.Num (float_of_int id));
-       ("ts", Json.Num (us_of_ns ts_ns));
-       ("pid", Json.Num 0.0);
-       ("tid", Json.Num (float_of_int tid));
-     ]
-    @ (if binding then [ ("bp", Json.Str "e") ] else [])
-    @ [ ("args", Json.Obj [ ("arg", Json.Num (float_of_int arg)) ]) ])
-
 (* One ring = one track.  Spans are stored as complete (start, dur)
    records, so B/E pairs are balanced by construction: sort spans by
    (start asc, dur desc) and replay them against a stack, closing every
    span that ends before the next one starts.  A child crossing its
    parent's end (possible only if the writer broke stack discipline) is
    clipped to the parent, keeping the output well-formed regardless.
-   Instants are merged in timestamp order.
-
-   Shard-routed events leave the domain track entirely: [shard_drain]
-   spans become direct B/E pairs on the owning shard's track (each
-   shard is drained by exactly one domain per round, so its track never
-   self-overlaps), flow-recv halves land there too, and flow-send
-   halves stay on the producing domain's track so the arrow crosses
-   tracks. *)
+   Instants are merged in timestamp order. *)
 let emit_ring em tracer ring =
   let tid = Ring.tid ring in
-  let drain_kind = Kind.to_int Kind.shard_drain in
-  let spans = ref []
-  and instants = ref []
-  and drains = ref []
-  and sends = ref []
-  and recvs = ref [] in
+  let spans = ref [] and instants = ref [] in
   Ring.iter ring (fun ~kind ~ts ~dur ~arg ->
-      if dur >= 0 then
-        if kind = drain_kind then drains := (ts, dur, kind, arg) :: !drains
-        else spans := (ts, dur, kind, arg) :: !spans
-      else if dur = Tracer.flow_dur_send then sends := (ts, kind, arg) :: !sends
-      else if dur = Tracer.flow_dur_recv then recvs := (ts, kind, arg) :: !recvs
+      if dur >= 0 then spans := (ts, dur, kind, arg) :: !spans
       else instants := (ts, kind, arg) :: !instants);
   let spans =
     List.sort
@@ -151,34 +112,7 @@ let emit_ring em tracer ring =
       stack := (e, kind, arg) :: !stack)
     spans;
   close_until max_int;
-  flush_instants max_int;
-  (* shard tracks: drain spans, then the flow halves (viewers order by
-     ts, so emission order here is free) *)
-  List.iter
-    (fun (ts, dur, kind, arg) ->
-      let name = Tracer.kind_name tracer kind in
-      let stid = shard_tid (Tracer.arg_shard arg) in
-      duration_event em ~name ~ph:"B" ~ts_ns:ts ~tid:stid
-        ~arg:(Tracer.arg_seq arg);
-      duration_event em ~name ~ph:"E" ~ts_ns:(ts + dur) ~tid:stid
-        ~arg:(Tracer.arg_seq arg))
-    !drains;
-  List.iter
-    (fun (ts, kind, arg) ->
-      flow_event em
-        ~name:(Tracer.kind_name tracer kind)
-        ~ph:"s" ~ts_ns:ts ~tid ~id:(Tracer.arg_seq arg) ~binding:false
-        ~arg:(Tracer.arg_shard arg))
-    !sends;
-  List.iter
-    (fun (ts, kind, arg) ->
-      flow_event em
-        ~name:(Tracer.kind_name tracer kind)
-        ~ph:"f" ~ts_ns:ts
-        ~tid:(shard_tid (Tracer.arg_shard arg))
-        ~id:(Tracer.arg_seq arg) ~binding:true
-        ~arg:(Tracer.arg_shard arg))
-    !recvs
+  flush_instants max_int
 
 let chrome_trace buf tracer =
   let em = { buf; first = true } in
@@ -190,21 +124,6 @@ let chrome_trace buf tracer =
       metadata_event em ~name:"thread_name" ~tid:(Ring.tid r)
         ~value:(Printf.sprintf "domain-%d" (Ring.tid r)))
     rings;
-  (* pre-pass: name a track for every shard that appears in a routed
-     event, so the viewer labels them before any event lands *)
-  let drain_kind = Kind.to_int Kind.shard_drain in
-  let shards = Hashtbl.create 8 in
-  List.iter
-    (fun r ->
-      Ring.iter r (fun ~kind ~ts:_ ~dur ~arg ->
-          if (dur >= 0 && kind = drain_kind) || dur = Tracer.flow_dur_recv then
-            Hashtbl.replace shards (Tracer.arg_shard arg) ()))
-    rings;
-  Hashtbl.fold (fun s () acc -> s :: acc) shards []
-  |> List.sort compare
-  |> List.iter (fun s ->
-         metadata_event em ~name:"thread_name" ~tid:(shard_tid s)
-           ~value:(Printf.sprintf "shard-%d" s));
   List.iter (emit_ring em tracer) rings;
   Buffer.add_string buf "\n]}\n"
 

@@ -3,16 +3,8 @@
 val chrome_trace : Buffer.t -> Tracer.t -> unit
 (** Chrome trace-event JSON (object form, ["traceEvents"]): one track
     per domain (tid = domain id), spans as balanced B/E pairs, instants
-    as ['i'] events, thread-name metadata per track.  Shard-owned
-    events get named tracks of their own ([shard-<k>], tid
-    {!shard_tid}): {!Kind.shard_drain} spans and the recv halves of
-    {!Kind.shard_msg} flow pairs are re-routed there, while send halves
-    stay on the producing domain — so a cross-shard derivation renders
-    as a causal arrow between tracks.  Loadable in Perfetto or
-    chrome://tracing. *)
-
-val shard_tid : int -> int
-(** The synthetic trace tid of shard [k]'s named track (10000 + k). *)
+    as ['i'] events, thread-name metadata per track.  Loadable in
+    Perfetto or chrome://tracing. *)
 
 val write_chrome_trace : string -> Tracer.t -> unit
 

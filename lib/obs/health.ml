@@ -8,39 +8,14 @@
 
 let started_ns = Monotonic.now_ns ()
 
-(* Shard-backlog degradation, as a pure decision over two scrapes: a
-   mailbox with queued batches is normal mid-step, so one reading says
-   nothing.  A shard is stuck — and the heartbeat degraded — only when
-   its backlog is non-zero at two consecutive scrapes with the step
-   counter unchanged between them: no barrier completed, nothing
-   drained.  The caller (the /health handler) holds the previous
-   scrape; this stays unit-testable. *)
-let shard_status ~prev ~step ~backlogs =
-  let offenders =
-    match prev with
-    | Some (prev_step, prev_backlogs) when prev_step = step ->
-        let off = ref [] in
-        let n = Array.length backlogs in
-        for k = n - 1 downto 0 do
-          if
-            backlogs.(k) > 0
-            && k < Array.length prev_backlogs
-            && prev_backlogs.(k) > 0
-          then off := k :: !off
-        done;
-        !off
-    | _ -> []
-  in
-  ((if offenders = [] then "ok" else "degraded"), offenders)
-
-let make ?(status = "ok") ?step ?steps ?processed ?outputs ?pending ?delta
-    ?(gamma = []) ?(top_rules = []) ?utilization ?(extra = []) () =
+let make ?step ?steps ?processed ?outputs ?pending ?delta ?(gamma = [])
+    ?(top_rules = []) ?utilization ?(extra = []) () =
   let open Json in
   let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
   let num i = Num (float_of_int i) in
   Obj
     ([
-       ("status", Str status);
+       ("status", Str "ok");
        ( "uptime_s",
          Num (float_of_int (Monotonic.now_ns () - started_ns) *. 1e-9) );
      ]
@@ -73,8 +48,8 @@ let make ?(status = "ok") ?step ?steps ?processed ?outputs ?pending ?delta
     @ opt "utilization" (fun u -> Num u) utilization
     @ extra)
 
-let render ?status ?step ?steps ?processed ?outputs ?pending ?delta ?gamma
+let render ?step ?steps ?processed ?outputs ?pending ?delta ?gamma
     ?top_rules ?utilization ?extra () =
   Json.to_string
-    (make ?status ?step ?steps ?processed ?outputs ?pending ?delta ?gamma
-       ?top_rules ?utilization ?extra ())
+    (make ?step ?steps ?processed ?outputs ?pending ?delta ?gamma ?top_rules
+       ?utilization ?extra ())

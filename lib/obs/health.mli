@@ -5,21 +5,7 @@
     durable session) through [extra].  Fields left [None] are omitted
     so the payload stays honest about what is attached. *)
 
-val shard_status :
-  prev:(int * int array) option ->
-  step:int ->
-  backlogs:int array ->
-  string * int list
-(** Two-scrape shard-backlog degradation: a shard is stuck when its
-    mailbox backlog is non-zero at this scrape {e and} the previous
-    one, with the step counter unchanged between them (queued batches
-    mid-step are normal; queued batches across an idle barrier are
-    not).  Returns [("degraded", offending shard ids)] or
-    [("ok", [])].  The caller holds the previous [(step, backlogs)]
-    scrape. *)
-
 val make :
-  ?status:string ->
   ?step:int ->
   ?steps:int ->
   ?processed:int ->
@@ -34,10 +20,9 @@ val make :
   Json.t
 (** [delta] is (size, depth); [top_rules] entries are
     (rule, decayed self seconds per step, fires).  Always includes
-    ["status"] (default ["ok"]) and process ["uptime_s"]. *)
+    ["status": "ok"] (the process answered) and process ["uptime_s"]. *)
 
 val render :
-  ?status:string ->
   ?step:int ->
   ?steps:int ->
   ?processed:int ->

@@ -1,7 +1,7 @@
 (* The structured event journal: a severity-tagged ring of JSON-line
-   events fed by the engine, shard, persist and ops layers — the
+   events fed by the engine, persist and ops layers — the
    narrative companion to the numeric registry.  Metrics say *how much*;
-   the journal says *what happened* (step seals, watermark rounds,
+   the journal says *what happened* (step seals, drains,
    checkpoints, advisor decisions, audit violations) in the order it
    happened, bounded by a fixed-capacity ring so a long run keeps the
    recent window — the one a post-mortem needs.
@@ -35,7 +35,7 @@ type entry = {
   j_seq : int;  (* monotonic over the journal's lifetime, 0-based *)
   j_ts_ns : int;  (* Monotonic.now_ns at record time *)
   j_sev : severity;
-  j_comp : string;  (* emitting layer: "engine", "shard", "persist", ... *)
+  j_comp : string;  (* emitting layer: "engine", "persist", ... *)
   j_event : string;  (* event name: "step-seal", "checkpoint", ... *)
   j_fields : (string * Json.t) list;
 }

@@ -1,5 +1,5 @@
 (** Structured event journal: severity-tagged, ring-buffered JSON-line
-    events (step seals, watermark rounds, checkpoint/recovery, advisor
+    events (step seals, drains, checkpoint/recovery, advisor
     decisions, audit violations) — the narrative companion to the
     numeric {!Metrics} registry, and the first section of every flight
     recorder bundle ({!Recorder}).
@@ -18,7 +18,7 @@ type entry = {
   j_seq : int;  (** monotonic sequence number, 0-based, never reused *)
   j_ts_ns : int;  (** {!Monotonic} timestamp at record time *)
   j_sev : severity;
-  j_comp : string;  (** emitting layer: ["engine"], ["shard"], ["persist"]… *)
+  j_comp : string;  (** emitting layer: ["engine"], ["persist"]… *)
   j_event : string;  (** event name: ["step-seal"], ["checkpoint"]… *)
   j_fields : (string * Json.t) list;
 }

@@ -9,19 +9,16 @@ let step = 0
 let extract = 1
 let gamma_insert = 2
 let rule_fire = 3
-let barrier_flush = 4
-let drain = 5
-let spawn = 6
-let steal = 7
-let idle = 8
-let advisor = 9
-let prov_merge = 10
-let audit = 11
-let advisor_demote = 12
-let batch_fire = 13
-let shard_msg = 14
-let shard_drain = 15
-let builtin_count = 16
+let drain = 4
+let spawn = 5
+let steal = 6
+let idle = 7
+let advisor = 8
+let prov_merge = 9
+let audit = 10
+let advisor_demote = 11
+let batch_fire = 12
+let builtin_count = 13
 
 let builtin_names =
   [|
@@ -29,7 +26,6 @@ let builtin_names =
     "class-extract";
     "gamma-insert";
     "rule-fire";
-    "barrier-flush";
     "drain";
     "pool-spawn";
     "pool-steal";
@@ -39,8 +35,6 @@ let builtin_names =
     "audit-violation";
     "advisor-demote";
     "batch-fire";
-    "shard-msg";
-    "shard-drain";
   |]
 
 let builtin_name k =

@@ -15,10 +15,6 @@ val rule_fire : t
 (** immediate firing of one -noDelta tuple's rules, inside the unit
     that put it (chunked Phase B firing records {!batch_fire}) *)
 
-val barrier_flush : t
-(** cross-shard mailbox exchange at a step barrier (sharded runs only);
-    the span arg is the queued message count *)
-
 val drain : t  (** one session drain to quiescence *)
 
 val spawn : t  (** pool worker came online (instant) *)
@@ -41,18 +37,6 @@ val advisor_demote : t
 val batch_fire : t
 (** Phase B firing: one (rule, table)-chunk unit of a class execution;
     the span arg is the chunk width *)
-
-val shard_msg : t
-(** one cross-shard mailbox message, recorded as a linked flow pair:
-    a send half on the producing domain's track and a recv half on the
-    owner shard's track, bound by the message's sequence stamp
-    ({!Tracer.flow_send} / {!Tracer.flow_recv}; the arg packs
-    [(dst_shard, seq)] via {!Tracer.shard_arg}) *)
-
-val shard_drain : t
-(** one shard's mailbox-drain task at a watermark exchange; the span is
-    re-routed onto the shard's named track by the exporter (arg packs
-    the shard id via {!Tracer.shard_arg}) *)
 
 val builtin_count : int
 val builtin_name : int -> string option

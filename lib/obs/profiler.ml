@@ -42,15 +42,6 @@ type sched_totals = {
   sc_idle_ns : int;
 }
 
-type shard_totals = {
-  sh_occupancy : int array; (* per-shard pending tuples at the barrier *)
-  sh_backlog : int array; (* per-shard queued mailbox messages *)
-  sh_msgs : int; (* cumulative mailbox messages posted *)
-  sh_msgs_cross : int; (* of those, cross-shard *)
-  sh_tuples : int; (* cumulative tuples shipped in messages *)
-  sh_tuples_cross : int;
-}
-
 type t = {
   rules : string array; (* by rule id *)
   tables : string array; (* by table id *)
@@ -79,10 +70,6 @@ type t = {
   mutable last_sched : sched_totals; (* totals at the last barrier *)
   mutable ema_util : float;
   mutable have_util : bool;
-  (* shard lane (Config.shards): occupancy and message-rate folds *)
-  mutable last_shards : shard_totals option;
-  mutable ema_shard_msgs : float; (* decayed messages per step *)
-  mutable ema_shard_tuples : float; (* decayed shipped tuples per step *)
   (* GC lane *)
   mutable prev_alloc_words : float;
   mutable alloc_words : float; (* cumulative since create *)
@@ -130,9 +117,6 @@ let create ?(stripes = 8) ?(decay = 0.98) ?(sample = 1) ?(workers = 1)
     last_sched = { sc_tasks = 0; sc_steals = 0; sc_parks = 0; sc_idle_ns = 0 };
     ema_util = 0.0;
     have_util = false;
-    last_shards = None;
-    ema_shard_msgs = 0.0;
-    ema_shard_tuples = 0.0;
     prev_alloc_words = alloc_words_now ();
     alloc_words = 0.0;
     ema_alloc_words = 0.0;
@@ -215,7 +199,7 @@ let scaled_self ~fires ~timed ~self_ns =
   else if timed = fires then float_of_int self_ns
   else float_of_int self_ns *. (float_of_int fires /. float_of_int timed)
 
-let step_barrier t ~puts ~queries ~gamma ?sched ?shards () =
+let step_barrier t ~puts ~queries ~gamma ?sched () =
   let now = Monotonic.now_ns () in
   let wall = max 1 (now - t.last_barrier_ns) in
   t.last_barrier_ns <- now;
@@ -252,20 +236,6 @@ let step_barrier t ~puts ~queries ~gamma ?sched ?shards () =
       let util = Float.max 0.0 (Float.min 1.0 util) in
       t.ema_util <- (if t.have_util then ema t.ema_util util else util);
       t.have_util <- true);
-  (* shard lane *)
-  (match shards with
-  | None -> ()
-  | Some sh ->
-      let prev_msgs, prev_tuples =
-        match t.last_shards with
-        | Some p -> (p.sh_msgs, p.sh_tuples)
-        | None -> (0, 0)
-      in
-      t.ema_shard_msgs <-
-        ema t.ema_shard_msgs (float_of_int (sh.sh_msgs - prev_msgs));
-      t.ema_shard_tuples <-
-        ema t.ema_shard_tuples (float_of_int (sh.sh_tuples - prev_tuples));
-      t.last_shards <- Some sh);
   (* GC lane *)
   let aw = alloc_words_now () in
   let daw = Float.max 0.0 (aw -. t.prev_alloc_words) in
@@ -308,18 +278,6 @@ type gc_row = {
   pg_ema_alloc_words : float;
   pg_minor : int;
   pg_major : int;
-}
-
-type shard_row = {
-  psh_count : int;
-  psh_occupancy : int array;
-  psh_backlog : int array;
-  psh_msgs : int;
-  psh_msgs_cross : int;
-  psh_tuples : int;
-  psh_tuples_cross : int;
-  psh_ema_msgs : float; (* decayed messages per step *)
-  psh_ema_tuples : float; (* decayed shipped tuples per step *)
 }
 
 let steps t = t.steps
@@ -388,22 +346,6 @@ let gc t =
     pg_major = t.major_collections;
   }
 
-let shards t =
-  Option.map
-    (fun sh ->
-      {
-        psh_count = Array.length sh.sh_occupancy;
-        psh_occupancy = sh.sh_occupancy;
-        psh_backlog = sh.sh_backlog;
-        psh_msgs = sh.sh_msgs;
-        psh_msgs_cross = sh.sh_msgs_cross;
-        psh_tuples = sh.sh_tuples;
-        psh_tuples_cross = sh.sh_tuples_cross;
-        psh_ema_msgs = t.ema_shard_msgs;
-        psh_ema_tuples = t.ema_shard_tuples;
-      })
-    t.last_shards
-
 let utilization t = if t.have_util then Some t.ema_util else None
 
 let to_json ?(k = 10) t =
@@ -447,11 +389,11 @@ let to_json ?(k = 10) t =
           ] );
     ]
   in
-  let base =
-    match sched t with
-    | None -> base
-    | Some s ->
-        base
+  match sched t with
+  | None -> Obj base
+  | Some s ->
+      Obj
+        (base
         @ [
             ( "sched",
               Obj
@@ -461,29 +403,5 @@ let to_json ?(k = 10) t =
                   ("parks", Num (float_of_int s.ps_parks));
                   ("idle_s", Num s.ps_idle_s);
                   ("utilization", Num s.ps_utilization);
-                ] );
-          ]
-  in
-  match shards t with
-  | None -> Obj base
-  | Some sh ->
-      let ints a =
-        Arr (Array.to_list (Array.map (fun v -> Num (float_of_int v)) a))
-      in
-      Obj
-        (base
-        @ [
-            ( "shards",
-              Obj
-                [
-                  ("count", Num (float_of_int sh.psh_count));
-                  ("occupancy", ints sh.psh_occupancy);
-                  ("mailbox_backlog", ints sh.psh_backlog);
-                  ("msgs_posted", Num (float_of_int sh.psh_msgs));
-                  ("msgs_cross", Num (float_of_int sh.psh_msgs_cross));
-                  ("tuples_shipped", Num (float_of_int sh.psh_tuples));
-                  ("tuples_cross", Num (float_of_int sh.psh_tuples_cross));
-                  ("ema_msgs", Num sh.psh_ema_msgs);
-                  ("ema_tuples", Num sh.psh_ema_tuples);
                 ] );
           ])

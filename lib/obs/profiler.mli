@@ -29,17 +29,6 @@ type sched_totals = {
     (the record is duplicated here because the dependency arrow points
     sched → obs). *)
 
-type shard_totals = {
-  sh_occupancy : int array;  (** per-shard pending tuples at the barrier *)
-  sh_backlog : int array;  (** per-shard queued mailbox messages *)
-  sh_msgs : int;  (** cumulative mailbox messages posted *)
-  sh_msgs_cross : int;  (** of those, cross-shard *)
-  sh_tuples : int;  (** cumulative tuples shipped in messages *)
-  sh_tuples_cross : int;
-}
-(** Cumulative sharded-execution counters (mirroring the engine's
-    [Shard] accessors — the dependency arrow points core → obs). *)
-
 val create :
   ?stripes:int ->
   ?decay:float ->
@@ -77,14 +66,12 @@ val step_barrier :
   queries:int array ->
   gamma:int array ->
   ?sched:sched_totals ->
-  ?shards:shard_totals ->
   unit ->
   unit
 (** Fold one step: [puts]/[queries] are cumulative per-table counters
     (indexed like [tables]), [gamma] current store sizes, [sched]
-    cumulative pool counters, [shards] cumulative sharded-execution
-    counters plus occupancy/backlog snapshots.  Called once per step
-    from the engine's barrier; single-threaded. *)
+    cumulative pool counters.  Called once per step from the engine's
+    barrier; single-threaded. *)
 
 (** {1 Snapshots} *)
 
@@ -120,18 +107,6 @@ type gc_row = {
   pg_major : int;
 }
 
-type shard_row = {
-  psh_count : int;
-  psh_occupancy : int array;
-  psh_backlog : int array;
-  psh_msgs : int;
-  psh_msgs_cross : int;
-  psh_tuples : int;
-  psh_tuples_cross : int;
-  psh_ema_msgs : float;  (** decayed mailbox messages per step *)
-  psh_ema_tuples : float;  (** decayed shipped tuples per step *)
-}
-
 val steps : t -> int
 val rules : t -> rule_row array
 val tables : t -> table_row array
@@ -143,10 +118,6 @@ val top_rules : ?k:int -> t -> rule_row list
 
 val sched : t -> sched_row option
 (** [None] until a barrier has folded scheduler totals. *)
-
-val shards : t -> shard_row option
-(** [None] until a barrier has folded sharded-execution totals (i.e.
-    always [None] when [Config.shards = 0]). *)
 
 val gc : t -> gc_row
 val utilization : t -> float option

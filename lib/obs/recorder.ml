@@ -1,8 +1,8 @@
 (* The flight recorder: an always-on black box that turns a live run's
    observability state — journal tail, metrics snapshot, and any caller
-   -registered sections (profiler top-k, per-shard backlog/occupancy,
-   WAL lag, explain trees for the tuples a failure named) — into one
-   atomic, self-contained JSON diagnostic bundle.
+   -registered sections (session scalars, profiler top-k, WAL lag,
+   explain trees for the tuples a failure named) — into one atomic,
+   self-contained JSON diagnostic bundle.
 
    Triggers are the caller's: an uncaught engine exception, a
    [Causality_violation], SIGUSR1 ({!on_signal}), or the ops plane's

@@ -1,8 +1,8 @@
 (** The flight recorder: black-box diagnostics for a live run.
 
     Holds references to the journal and metrics registry plus caller-
-    registered JSON section thunks (profiler top-k, shard backlogs, WAL
-    lag, explain trees…), and on demand — uncaught exception,
+    registered JSON section thunks (profiler top-k, WAL lag, explain
+    trees…), and on demand — uncaught exception,
     [Causality_violation], SIGUSR1, or the ops plane's [/dump] — writes
     one atomic, self-contained diagnostic bundle
     ([flight-<pid>-<n>.json], temp + rename) into its directory.

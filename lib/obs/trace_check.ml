@@ -10,7 +10,6 @@ type summary = {
   tracks : int;
   spans : int; (* balanced B/E pairs *)
   instants : int;
-  flows : int; (* bound s/f flow pairs *)
   by_name : (string * int) list; (* event count per name, any phase *)
 }
 
@@ -38,10 +37,6 @@ let validate json =
   in
   let tracks : (float * float, unit) Hashtbl.t = Hashtbl.create 8 in
   let spans = ref 0 and instants = ref 0 and by_name = ref [] in
-  (* flow halves bind by id: finishes must name a started flow *)
-  let flow_starts : (float, unit) Hashtbl.t = Hashtbl.create 8 in
-  let flows = ref 0 in
-  let flow_finishes = ref [] in
   let rec check i = function
     | [] -> Ok ()
     | ev :: rest ->
@@ -100,34 +95,12 @@ let validate json =
                     incr instants;
                     Ok ()
                 | "X" -> Ok ()
-                | ("s" | "t" | "f") as ph -> (
-                    match
-                      Option.bind (Json.member "id" ev) Json.to_float_opt
-                    with
-                    | None -> err ("flow " ^ ph ^ " without id")
-                    | Some id ->
-                        (if ph = "s" then Hashtbl.replace flow_starts id ()
-                         else if ph = "f" then
-                           flow_finishes := (i, id) :: !flow_finishes);
-                        Ok ())
                 | other -> err ("unexpected phase " ^ other))
           end
         in
         check (i + 1) rest
   in
   let* () = check 0 events in
-  let* () =
-    List.fold_left
-      (fun acc (i, id) ->
-        let* () = acc in
-        if Hashtbl.mem flow_starts id then begin
-          incr flows;
-          Ok ()
-        end
-        else Error (Printf.sprintf "event %d: flow finish id %g unbound" i id))
-      (Ok ())
-      (List.rev !flow_finishes)
-  in
   let* () =
     Hashtbl.fold
       (fun (pid, tid) stack acc ->
@@ -146,7 +119,6 @@ let validate json =
       tracks = Hashtbl.length tracks;
       spans = !spans;
       instants = !instants;
-      flows = !flows;
       by_name = !by_name;
     }
 

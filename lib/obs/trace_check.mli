@@ -1,14 +1,12 @@
 (** Validator for the exporter's Chrome trace-event JSON: required
     [ph]/[ts]/[pid]/[tid] (and [name]) fields, balanced, name-matched
-    B/E pairs per (pid, tid) track, and flow halves ([ph s]/[f]) that
-    carry an [id] with every finish bound to some start. *)
+    B/E pairs per (pid, tid) track. *)
 
 type summary = {
   events : int;
   tracks : int;
   spans : int;  (** balanced B/E pairs seen *)
   instants : int;
-  flows : int;  (** bound s/f flow pairs seen *)
   by_name : (string * int) list;  (** event count per name *)
 }
 

@@ -142,38 +142,6 @@ let record_span t ?(arg = 0) kind ~ts ~dur =
       Ring.record e.e_ring ~kind:(Kind.to_int kind) ~ts ~dur ~arg
   end
 
-(* -- cross-shard flow events ----------------------------------------
-
-   A mailbox message is recorded as two linked halves: a send on the
-   producing domain's ring and a recv on whichever domain drained the
-   owner's mailbox.  The ring stays four scalar arrays: the halves are
-   distinguished by dur sentinels (-2 = send, -3 = recv; instants stay
-   -1) and bound to each other by the message's sequence stamp, packed
-   into the arg word together with the destination shard id so the
-   exporter can both match the pair and route the recv onto the shard's
-   named track.  Flow halves bypass 1-in-N sampling — dropping one half
-   of a pair would leave dangling arrows, and messages are barrier-
-   frequency events, not put-frequency. *)
-
-let shard_bits = 10
-let shard_mask = (1 lsl shard_bits) - 1
-let shard_arg ~shard ~seq = (seq lsl shard_bits) lor (shard land shard_mask)
-let arg_shard arg = arg land shard_mask
-let arg_seq arg = arg lsr shard_bits
-
-let flow_dur_send = -2
-let flow_dur_recv = -3
-
-let flow_send t ?(arg = 0) kind =
-  if enabled t kind then
-    Ring.record (entry_for t).e_ring ~kind:(Kind.to_int kind)
-      ~ts:(Monotonic.now_ns ()) ~dur:flow_dur_send ~arg
-
-let flow_recv t ?(arg = 0) kind =
-  if enabled t kind then
-    Ring.record (entry_for t).e_ring ~kind:(Kind.to_int kind)
-      ~ts:(Monotonic.now_ns ()) ~dur:flow_dur_recv ~arg
-
 let span t ?arg kind f =
   if enabled t kind then begin
     let t0 = Monotonic.now_ns () in

@@ -61,31 +61,6 @@ val record_span : t -> ?arg:int -> Kind.t -> ts:int -> dur:int -> unit
 val span : t -> ?arg:int -> Kind.t -> (unit -> 'a) -> 'a
 (** Convenience wrapper for cold call sites (allocates a closure). *)
 
-(** {2 Cross-shard flow events}
-
-    Linked send/recv halves for mailbox messages, bound by a sequence
-    stamp and rendered as causal arrows by {!Export.chrome_trace}.
-    Stored with dur sentinels [-2] (send) / [-3] (recv); instants stay
-    [-1].  Flow halves bypass [sample] — half a pair is worse than
-    none. *)
-
-val shard_arg : shard:int -> seq:int -> int
-(** Pack a destination shard id (10 bits) and message sequence stamp
-    into one event arg. *)
-
-val arg_shard : int -> int
-val arg_seq : int -> int
-
-val flow_dur_send : int
-val flow_dur_recv : int
-
-val flow_send : t -> ?arg:int -> Kind.t -> unit
-(** The producing side of a message, on this domain's ring. *)
-
-val flow_recv : t -> ?arg:int -> Kind.t -> unit
-(** The consuming side, on the draining domain's ring; the exporter
-    re-routes it onto the destination shard's named track. *)
-
 val register_kind : t -> string -> Kind.t
 (** Mint (or look up) a kind for a user-supplied span name — bench
     phases, application sections.  Idempotent per name. *)

@@ -27,7 +27,7 @@ let metrics_handler session alerts _q =
 
 (* -- /health ----------------------------------------------------------- *)
 
-let health_body session extra ~status ~stuck _q =
+let health_handler session extra _q =
   let st = Engine.session_state ~with_outputs:false session in
   let pending = Engine.session_pending session in
   let delta = Engine.session_delta session in
@@ -50,69 +50,12 @@ let health_body session extra ~status ~stuck _q =
                (Jstar_obs.Profiler.top_rules ~k:5 p)),
           Jstar_obs.Profiler.utilization p )
   in
-  let shard_extras =
-    match Engine.session_shards session with
-    | None -> []
-    | Some s ->
-        let ints a =
-          Json.Arr
-            (Array.to_list (Array.map (fun v -> Json.Num (float_of_int v)) a))
-        in
-        [
-          ( "shards",
-            Json.Obj
-              [
-                ("count", Json.Num (float_of_int s.Engine.sh_count));
-                ("occupancy", ints s.Engine.sh_occupancy);
-                ("mailbox_backlog", ints s.Engine.sh_backlog);
-                ( "msgs_posted",
-                  Json.Num (float_of_int s.Engine.sh_msgs_posted) );
-                ("msgs_cross", Json.Num (float_of_int s.Engine.sh_msgs_cross));
-                ( "tuples_shipped",
-                  Json.Num (float_of_int s.Engine.sh_tuples_shipped) );
-                ( "tuples_cross",
-                  Json.Num (float_of_int s.Engine.sh_tuples_cross) );
-              ] );
-        ]
-  in
-  let stuck_extras =
-    if stuck = [] then []
-    else
-      [
-        ( "stuck_shards",
-          Json.Arr (List.map (fun k -> Json.Num (float_of_int k)) stuck) );
-      ]
-  in
   Httpd.json
-    (Jstar_obs.Health.render ~status ~step:st.Engine.ss_step_no
+    (Jstar_obs.Health.render ~step:st.Engine.ss_step_no
        ~steps:st.Engine.ss_steps ~processed:st.Engine.ss_processed
        ~outputs:st.Engine.ss_outputs_count ~pending ~delta ~gamma ?top_rules
-       ?utilization
-       ~extra:(stuck_extras @ shard_extras @ extra ())
-       ()
+       ?utilization ~extra:(extra ()) ()
     ^ "\n")
-
-(* Backlog degradation needs two consecutive scrapes with no step
-   progress (see Health.shard_status); the handler closure owns the
-   previous (step, backlogs) reading.  Scrapes are serialized by
-   Httpd's single server thread, so a plain ref suffices. *)
-let health_handler session extra =
-  let prev = ref None in
-  fun q ->
-    let status, stuck =
-      match Engine.session_shards session with
-      | None -> ("ok", [])
-      | Some s ->
-          let st = Engine.session_state ~with_outputs:false session in
-          let step = st.Engine.ss_step_no in
-          let r =
-            Jstar_obs.Health.shard_status ~prev:!prev ~step
-              ~backlogs:s.Engine.sh_backlog
-          in
-          prev := Some (step, s.Engine.sh_backlog);
-          r
-    in
-    health_body session extra ~status ~stuck q
 
 (* -- /profile ---------------------------------------------------------- *)
 
@@ -238,11 +181,10 @@ let explain_handler session q =
 
 (* Build a recorder over a session with the standard engine sections.
    The obs-layer Recorder is engine-agnostic; this is where the engine-
-   shaped thunks get registered: session scalars, per-shard occupancy
-   and backlog, profiler top-k, and — when a causality violation has
-   been captured — explain trees for the tuples the failure named.
-   Callers add further sections (e.g. WAL generation/lag) with
-   [Jstar_obs.Recorder.add_section]. *)
+   shaped thunks get registered: session scalars, profiler top-k, and —
+   when a causality violation has been captured — explain trees for the
+   tuples the failure named.  Callers add further sections (e.g. WAL
+   generation/lag) with [Jstar_obs.Recorder.add_section]. *)
 let make_recorder ?journal_tail ~dir session =
   let r =
     Jstar_obs.Recorder.create ?journal_tail
@@ -263,23 +205,6 @@ let make_recorder ?journal_tail ~dir session =
           ("delta_size", num dsize);
           ("delta_depth", num ddepth);
         ]);
-  Jstar_obs.Recorder.add_section r "shards" (fun () ->
-      match Engine.session_shards session with
-      | None -> Json.Null
-      | Some s ->
-          let ints a =
-            Json.Arr (Array.to_list (Array.map (fun v -> num v) a))
-          in
-          Json.Obj
-            [
-              ("count", num s.Engine.sh_count);
-              ("occupancy", ints s.Engine.sh_occupancy);
-              ("mailbox_backlog", ints s.Engine.sh_backlog);
-              ("msgs_posted", num s.Engine.sh_msgs_posted);
-              ("msgs_cross", num s.Engine.sh_msgs_cross);
-              ("tuples_shipped", num s.Engine.sh_tuples_shipped);
-              ("tuples_cross", num s.Engine.sh_tuples_cross);
-            ]);
   Jstar_obs.Recorder.add_section r "profiler" (fun () ->
       match Engine.session_profiler session with
       | None -> Json.Null
@@ -347,7 +272,7 @@ let dump_handler recorder _q =
 let index_body =
   "jstar ops endpoints:\n\
   \  /metrics                  Prometheus text format (incl. ALERTS)\n\
-  \  /health                   JSON heartbeat (degraded on stuck shards)\n\
+  \  /health                   JSON heartbeat\n\
   \  /profile?k=N              top-K rules by decayed self time\n\
   \  /explain?table=T&tuple=v1,v2[&depth=D&width=W]\n\
   \                            derivation trees for matching tuples\n\

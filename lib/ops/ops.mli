@@ -4,8 +4,7 @@
     {v /                              endpoint index
        /metrics                       Prometheus text format 0.0.4
                                       (+ ALERTS samples when alerting)
-       /health                        JSON heartbeat; [status] flips to
-                                      "degraded" on stuck shard backlog
+       /health                        JSON heartbeat
        /profile?k=N                   continuous-profiler top-K table
        /explain?table=T&tuple=v1,v2   derivation trees (provenance)
        /alerts                        threshold-alert statuses
@@ -26,11 +25,10 @@ val make_recorder :
   Jstar_core.Engine.session ->
   Jstar_obs.Recorder.t
 (** A flight recorder over [session] with the standard engine sections
-    registered: session scalars, per-shard occupancy/backlog, profiler
-    top-k, and explain trees for the tuples named by a captured
-    causality violation.  Add subsystem sections (WAL lag…) with
-    [Jstar_obs.Recorder.add_section]; triggers (signal, exception
-    wrap, [/dump]) are the caller's. *)
+    registered: session scalars, profiler top-k, and explain trees for
+    the tuples named by a captured causality violation.  Add subsystem
+    sections (WAL lag…) with [Jstar_obs.Recorder.add_section];
+    triggers (signal, exception wrap, [/dump]) are the caller's. *)
 
 val attach :
   ?addr:string ->

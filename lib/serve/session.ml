@@ -1,6 +1,6 @@
 (* One served session = one durable engine session owned by exactly one
-   worker thread — PR 8's single-owner shard discipline lifted to whole
-   sessions.  Connection threads never touch the engine; they enqueue
+   worker thread: single ownership, with messages instead of locks
+   around the engine.  Connection threads never touch the engine; they enqueue
    commands into a lock-free MPSC mailbox (lib/cds Ms_queue) and block
    on a one-shot reply box when they need an answer.  The worker may
    live on another domain than the connection threads (Placement), so

@@ -1,6 +1,6 @@
 (** One served session: a durable engine session owned by a single
-    worker thread, commanded through a lock-free MPSC mailbox — the
-    shard ownership discipline of DESIGN.md §13 lifted to sessions.
+    worker thread, commanded through a lock-free MPSC mailbox — single
+    ownership, with messages instead of locks around the engine.
     Connection threads call the operations below from any domain; every
     engine touch happens on the worker.
 

@@ -3,7 +3,9 @@
    lineage must equal the values recorded from the retired per-tuple
    path, across threads x grain ([Auto_grain] and the §5.2 [Fixed 1])
    with provenance and the causality auditor on; the closure must equal
-   a plain BFS on random graphs.  Also covers the lineage of a put
+   a plain BFS on random graphs, and a closure with a negative and an
+   aggregate rule must equal sets computed without the engine.  Also
+   covers the lineage of a put
    issued *after* a positive scan completed: the scanned tuples are its
    parents, not just the trigger. *)
 
@@ -207,6 +209,151 @@ let prop_closure_grid =
         grid)
 
 (* ------------------------------------------------------------------ *)
+(* Closure plus a negative rule (Sink: reached nodes with no outgoing
+   edge) and an aggregate rule (Deg: the out-degree of every path
+   source), with the aggregate cache on — the positive hash-join probe,
+   the negative scan and the cached aggregate in one program.  Every
+   grid point must hold exactly the sets computed without the engine,
+   and report the digests, stats and Delta totals of threads = 1. *)
+
+type closure_rules = {
+  k_program : Program.t;
+  k_edge : Schema.t;
+  k_path : Schema.t;
+  k_sink : Schema.t;
+  k_deg : Schema.t;
+}
+
+let closure_rules_program () =
+  let p = Program.create () in
+  let edge =
+    Program.table p "Edge"
+      ~columns:Schema.[ int_col "a"; int_col "b" ]
+      ~orderby:Schema.[ Lit "Edge" ]
+      ()
+  in
+  let path =
+    Program.table p "Path"
+      ~columns:Schema.[ int_col "a"; int_col "b" ]
+      ~orderby:Schema.[ Lit "Path" ]
+      ()
+  in
+  let sink =
+    Program.table p "Sink"
+      ~columns:Schema.[ int_col "n" ]
+      ~orderby:Schema.[ Lit "Sink" ]
+      ()
+  in
+  let deg =
+    Program.table p "Deg"
+      ~columns:Schema.[ int_col "n"; int_col "d" ]
+      ~orderby:Schema.[ Lit "Deg" ]
+      ()
+  in
+  Program.order p [ "Edge"; "Path"; "Sink"; "Deg" ];
+  Program.rule p "seed" ~trigger:edge (fun ctx e ->
+      ctx.Rule.put (Tuple.make path [| Tuple.get e 0; Tuple.get e 1 |]));
+  Program.rule p "close" ~trigger:path
+    ~reads:[ Spec.read ~prefix:[ Spec.Field "b" ] "Edge" ]
+    (fun ctx t ->
+      let x = Tuple.get t 0 and y = Tuple.int t "b" in
+      Query.iter ctx edge ~prefix:[| v_int y |] (fun e ->
+          ctx.Rule.put (Tuple.make path [| x; Tuple.get e 1 |])));
+  Program.rule p "sink" ~trigger:path
+    ~reads:[ Spec.read ~kind:Spec.Negative ~prefix:[ Spec.Field "b" ] "Edge" ]
+    (fun ctx t ->
+      let b = Tuple.int t "b" in
+      if Query.count ctx edge ~prefix:[| v_int b |] () = 0 then
+        ctx.Rule.put (Tuple.make sink [| v_int b |]));
+  Program.rule p "degree" ~trigger:path
+    ~reads:[ Spec.read ~kind:Spec.Aggregate ~prefix:[ Spec.Field "a" ] "Edge" ]
+    (fun ctx t ->
+      let a = Tuple.int t "a" in
+      let d = Query.count ctx edge ~prefix:[| v_int a |] () in
+      ctx.Rule.put (Tuple.make deg [| v_int a; v_int d |]));
+  Program.output p path (fun t ->
+      Printf.sprintf "path %d %d" (Tuple.int t "a") (Tuple.int t "b"));
+  Program.output p sink (fun t -> Printf.sprintf "sink %d" (Tuple.int t "n"));
+  { k_program = p; k_edge = edge; k_path = path; k_sink = sink; k_deg = deg }
+
+(* [Config.parallel] turns the aggregate cache on and [default] leaves
+   it off, which changes the per-table query counters; pin it so the
+   grid varies only threads and grain. *)
+let closure_rules_config ~threads ~grain =
+  { (grid_config ~threads ~grain) with Config.agg_cache = true }
+
+(* Path, Sink and Deg computed without the engine. *)
+let closure_rules_reference edges =
+  let edges = List.sort_uniq compare edges in
+  let paths = bfs_closure edges in
+  let out_degree n = List.length (List.filter (fun (a, _) -> a = n) edges) in
+  let sinks =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (_, b) -> if out_degree b = 0 then Some [ b ] else None)
+         paths)
+  in
+  let degs =
+    List.sort_uniq compare (List.map (fun (a, _) -> [ a; out_degree a ]) paths)
+  in
+  (List.map (fun (a, b) -> [ a; b ]) paths, sinks, degs)
+
+let stored gamma schema =
+  let rows = ref [] in
+  (gamma schema).Store.iter (fun t ->
+      rows :=
+        Array.to_list (Array.map Value.to_int (Tuple.fields t)) :: !rows);
+  List.sort compare !rows
+
+(* Run one grid point, check it against the reference sets, and return
+   its observation for the cross-grid comparison. *)
+let run_closure_rules edges (threads, grain) =
+  let k = closure_rules_program () in
+  let init =
+    List.map (fun (a, b) -> Tuple.make k.k_edge [| v_int a; v_int b |]) edges
+  in
+  let result, gamma =
+    Engine.run_with_gamma ~init
+      (Program.freeze k.k_program)
+      (closure_rules_config ~threads ~grain)
+  in
+  let paths, sinks, degs = closure_rules_reference edges in
+  let ok =
+    stored gamma k.k_path = paths
+    && stored gamma k.k_sink = sinks
+    && stored gamma k.k_deg = degs
+  in
+  (ok, observe result)
+
+let check_closure_rules edges =
+  match List.map (run_closure_rules edges) grid with
+  | [] -> true
+  | (_, reference) :: _ as points ->
+      List.for_all (fun (ok, o) -> ok && o = reference) points
+
+let test_closure_rules_grid () =
+  let edges = [ (0, 1); (1, 2); (2, 3); (3, 0); (1, 4); (4, 2); (2, 5) ] in
+  let points = List.map (run_closure_rules edges) grid in
+  let reference = snd (List.hd points) in
+  List.iteri
+    (fun i ((threads, _), (ok, o)) ->
+      let at what =
+        Printf.sprintf "%s at grid point %d (threads=%d)" what i threads
+      in
+      Alcotest.(check bool) (at "Path, Sink, Deg = reference sets") true ok;
+      Alcotest.(check bool) (at "digests, stats, Delta totals = threads 1")
+        true (o = reference))
+    (List.combine grid points);
+  Alcotest.(check bool) "outputs present" true (reference.r_lines > 0)
+
+let prop_closure_rules_grid =
+  QCheck.Test.make ~name:"closure+sink+degree == reference on random graphs"
+    ~count:6
+    QCheck.(
+      list_of_size (Gen.int_range 1 25) (pair (int_range 0 7) (int_range 0 7)))
+    check_closure_rules
+
+(* ------------------------------------------------------------------ *)
 (* PvWatts-small: the numeric pipeline (custom stores, -noDelta chain,
    aggregate queries) through the same grid.  Custom stores are not
    probe-stable, so this exercises the cursor's fallback path. *)
@@ -379,9 +526,9 @@ let test_session_grid () =
   check_reference ~msg:"session" session_reference observations
 
 (* ------------------------------------------------------------------ *)
-(* Probe contract: hash, indexed and (since the sharding PR) ordered
-   stores answer probe_prefix with exactly the tuples iter_prefix
-   visits; only stores with no access path at all decline. *)
+(* Probe contract: hash, indexed and ordered stores answer probe_prefix
+   with exactly the tuples iter_prefix visits; only stores with no
+   access path at all decline. *)
 
 let test_probe_prefix_contract () =
   let schema =
@@ -463,6 +610,9 @@ let suite =
         Alcotest.test_case "closure grid == reference" `Quick
           test_closure_grid;
         QCheck_alcotest.to_alcotest prop_closure_grid;
+        Alcotest.test_case "closure+sink+degree grid == reference" `Quick
+          test_closure_rules_grid;
+        QCheck_alcotest.to_alcotest prop_closure_rules_grid;
         Alcotest.test_case "pvwatts grid == reference" `Slow
           test_pvwatts_grid;
         Alcotest.test_case "deferred put records full bound frame" `Quick

@@ -905,6 +905,64 @@ let test_engine_frozen_program_rejects_additions () =
   | exception Program.Frozen _ -> ()
   | _ -> Alcotest.fail "expected Frozen")
 
+(* A run is a session fed once: [Engine.run] and an explicit
+   start/feed/drain/finish report the same digests, outputs, stats and
+   steps, and a session's result carries the time it spent. *)
+let chain_program ~last =
+  let p = Program.create () in
+  let t =
+    Program.table p "T"
+      ~columns:Schema.[ int_col "x" ]
+      ~orderby:Schema.[ Lit "Int"; Seq "x" ]
+      ()
+  in
+  Program.rule p "next" ~trigger:t (fun ctx tuple ->
+      let x = Tuple.int tuple "x" in
+      if x < last then ctx.Rule.put (Tuple.make t [| v_int (x + 1) |]));
+  Program.output p t (fun tuple -> Printf.sprintf "t %d" (Tuple.int tuple "x"));
+  (p, t)
+
+let test_engine_run_is_session () =
+  List.iter
+    (fun threads ->
+      let base =
+        if threads = 1 then Config.default else Config.parallel ~threads ()
+      in
+      let config = { base with Config.digest = true } in
+      let p, t = chain_program ~last:40 in
+      let frozen = Program.freeze p in
+      let init = [ Tuple.make t [| v_int 0 |] ] in
+      let r = Engine.run ~init frozen config in
+      let s = Engine.start frozen config in
+      Engine.feed s init;
+      ignore (Engine.drain s);
+      let f = Engine.finish s in
+      let at what = Printf.sprintf "%s at threads=%d" what threads in
+      Alcotest.(check bool) (at "digest present") true (r.Engine.digest <> None);
+      Alcotest.(check bool) (at "digests") true (r.Engine.digest = f.Engine.digest);
+      Alcotest.(check (list string)) (at "outputs") r.Engine.outputs
+        f.Engine.outputs;
+      Alcotest.(check bool) (at "stats") true
+        (Table_stats.snapshot r.Engine.stats
+        = Table_stats.snapshot f.Engine.stats);
+      Alcotest.(check int) (at "steps") r.Engine.steps f.Engine.steps;
+      Alcotest.(check int) (at "steps = chain length") 41 r.Engine.steps;
+      Alcotest.(check (pair int int)) (at "delta totals")
+        (r.Engine.delta_inserted, r.Engine.delta_deduped)
+        (f.Engine.delta_inserted, f.Engine.delta_deduped))
+    [ 1; 2 ]
+
+let test_engine_session_reports_time () =
+  let p, t = chain_program ~last:200 in
+  let s = Engine.start (Program.freeze p) Config.default in
+  Engine.feed s [ Tuple.make t [| v_int 0 |] ];
+  ignore (Engine.drain s);
+  let r = Engine.finish s in
+  Alcotest.(check bool) "at least 100 steps" true (r.Engine.steps >= 100);
+  Alcotest.(check bool) "elapsed > 0" true (r.Engine.elapsed > 0.0);
+  Alcotest.(check bool) "extract time > 0" true
+    (r.Engine.phases.Engine.t_extract > 0.0)
+
 (* Determinism property: random micro-programs produce identical output
    under 1 and 2 threads. *)
 let prop_engine_deterministic =
@@ -1018,6 +1076,8 @@ let suite =
         tc "store override via config" `Quick test_engine_custom_store_override;
         tc "action handlers" `Quick test_engine_action_handler;
         tc "frozen program locked" `Quick test_engine_frozen_program_rejects_additions;
+        tc "run = one-feed session" `Quick test_engine_run_is_session;
+        tc "session reports its time" `Quick test_engine_session_reports_time;
         QCheck_alcotest.to_alcotest prop_engine_deterministic;
       ] );
   ]

@@ -1,9 +1,8 @@
-(* Flight-recorder & causal-tracing diagnostics (PR 9): the journal
-   ring's wrap/filter arithmetic, the alert hysteresis machine, stuck-
-   shard health classification, cross-shard flow events in the Chrome
-   trace, bundle schema on a seeded causality violation and on SIGUSR1
-   mid-drain, and the zero-impact guarantee — every digest lane bit-
-   identical with the whole diagnostics plane armed. *)
+(* Flight-recorder diagnostics: the journal ring's wrap/filter
+   arithmetic, the alert hysteresis machine, bundle schema on a seeded
+   causality violation and on SIGUSR1 mid-drain, and the zero-impact
+   guarantee — every digest lane bit-identical with the whole
+   diagnostics plane armed. *)
 
 open Jstar_core
 open Jstar_obs
@@ -227,44 +226,9 @@ let test_alert_parse_spec () =
     [ ""; "noname"; "x:m>"; "x:m>abc"; "x:m>1:for=0"; "x:rate(m" ]
 
 (* ------------------------------------------------------------------ *)
-(* Health: stuck-shard classification *)
-
-let test_health_shard_status () =
-  let check msg want got =
-    Alcotest.(check (pair string (list int))) msg want got
-  in
-  (* first scrape: no history, never degraded *)
-  check "first scrape ok" ("ok", [])
-    (Health.shard_status ~prev:None ~step:5 ~backlogs:[| 3; 0 |]);
-  (* progress between scrapes: backlog is in-flight work, not stuckness *)
-  check "advancing step ok" ("ok", [])
-    (Health.shard_status
-       ~prev:(Some (4, [| 3; 0 |]))
-       ~step:5 ~backlogs:[| 3; 0 |]);
-  (* same step, backlog present at both scrapes: stuck *)
-  check "stuck shard degraded" ("degraded", [ 1 ])
-    (Health.shard_status
-       ~prev:(Some (5, [| 0; 2 |]))
-       ~step:5 ~backlogs:[| 0; 1 |]);
-  (* a shard that drained between scrapes is not an offender *)
-  check "drained shard ok" ("ok", [])
-    (Health.shard_status
-       ~prev:(Some (5, [| 0; 2 |]))
-       ~step:5 ~backlogs:[| 0; 0 |]);
-  (* multiple offenders, ascending ids *)
-  check "all stuck shards listed" ("degraded", [ 0; 2 ])
-    (Health.shard_status
-       ~prev:(Some (7, [| 1; 0; 4 |]))
-       ~step:7 ~backlogs:[| 2; 0; 1 |])
-
-(* ------------------------------------------------------------------ *)
-(* Cross-shard flow events in the Chrome trace *)
-
-(* A two-table ping-pong over a [v]-keyed routing column: tuples hash
-   to different shards, so a sharded traced run must post cross-shard
-   messages and the export must carry linked s/f flow halves plus named
-   shard tracks. *)
-let shard_chain_program ~last =
+(* A one-table chain: each T(x) puts T(x + 1) up to [last], one class
+   per step. *)
+let chain_program ~last =
   let p = Program.create () in
   let t =
     Program.table p "T"
@@ -276,122 +240,6 @@ let shard_chain_program ~last =
       let x = Tuple.int tuple "x" in
       if x < last then ctx.Rule.put (Tuple.make t [| v_int (x + 1) |]));
   (p, t)
-
-let test_flow_export () =
-  let p, t = shard_chain_program ~last:24 in
-  let config =
-    {
-      Config.default with
-      Config.shards = 2;
-      tracing = Level.Spans;
-    }
-  in
-  let result =
-    Engine.run_program ~init:[ Tuple.make t [| v_int 0 |] ] p config
-  in
-  let buf = Buffer.create 8192 in
-  Export.chrome_trace buf result.Engine.tracer;
-  let json = Buffer.contents buf in
-  let events =
-    match Json.of_string json with
-    | Ok (Json.Obj fields) -> (
-        match List.assoc_opt "traceEvents" fields with
-        | Some (Json.Arr evs) -> evs
-        | _ -> Alcotest.fail "no traceEvents array")
-    | Ok _ | Error _ -> Alcotest.fail "trace did not parse"
-  in
-  let str k e =
-    match Json.member k e with Some (Json.Str s) -> Some s | _ -> None
-  in
-  let num k e =
-    match Json.member k e with Some (Json.Num n) -> Some n | _ -> None
-  in
-  let sends =
-    List.filter (fun e -> str "ph" e = Some "s" && str "cat" e = Some "shard")
-      events
-  and recvs =
-    List.filter (fun e -> str "ph" e = Some "f" && str "cat" e = Some "shard")
-      events
-  in
-  Alcotest.(check bool) "flow send halves present" true (sends <> []);
-  Alcotest.(check bool) "flow recv halves present" true (recvs <> []);
-  (* every recv lands on a synthetic shard track and binds an id some
-     send carries; send halves stay on real domain tracks so the arrow
-     crosses tracks *)
-  let send_ids =
-    List.filter_map (fun e -> num "id" e) sends |> List.sort_uniq compare
-  in
-  List.iter
-    (fun r ->
-      (match num "tid" r with
-      | Some tid when tid >= float_of_int (Export.shard_tid 0) -> ()
-      | tid ->
-          Alcotest.failf "recv tid %s not a shard track"
-            (match tid with Some t -> string_of_float t | None -> "missing"));
-      match num "id" r with
-      | Some id when List.mem id send_ids -> ()
-      | Some id -> Alcotest.failf "recv id %g has no matching send" id
-      | None -> Alcotest.fail "recv without id")
-    recvs;
-  List.iter
-    (fun s ->
-      match num "tid" s with
-      | Some tid when tid < float_of_int (Export.shard_tid 0) -> ()
-      | _ -> Alcotest.fail "send half strayed onto a shard track")
-    sends;
-  (* shard tracks are named *)
-  let track_names =
-    List.filter_map
-      (fun e ->
-        if str "name" e = Some "thread_name" then
-          match Json.member "args" e with
-          | Some (Json.Obj a) -> (
-              match List.assoc_opt "name" a with
-              | Some (Json.Str n) -> Some n
-              | _ -> None)
-          | _ -> None
-        else None)
-      events
-  in
-  List.iter
-    (fun shard_name ->
-      Alcotest.(check bool)
-        (shard_name ^ " track named")
-        true
-        (List.mem shard_name track_names))
-    [ "shard-0"; "shard-1" ];
-  (* drain spans ride the shard tracks and still validate as a trace *)
-  (match Trace_check.validate_string json with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "sharded trace invalid: %s" e);
-  (* flows bypass sampling: a 1-in-64 sampled run still pairs its flows *)
-  let sampled =
-    Engine.run_program
-      ~init:[ Tuple.make t [| v_int 0 |] ]
-      p
-      { config with Config.trace_sample = 64 }
-  in
-  let buf = Buffer.create 4096 in
-  Export.chrome_trace buf sampled.Engine.tracer;
-  match Json.of_string (Buffer.contents buf) with
-  | Ok (Json.Obj fields) ->
-      let evs =
-        match List.assoc_opt "traceEvents" fields with
-        | Some (Json.Arr evs) -> evs
-        | _ -> []
-      in
-      let count ph =
-        List.length
-          (List.filter
-             (fun e -> str "ph" e = Some ph && str "cat" e = Some "shard")
-             evs)
-      in
-      Alcotest.(check bool) "sampled run keeps flow pairs" true
-        (count "s" > 0 && count "f" > 0)
-  | _ -> Alcotest.fail "sampled trace did not parse"
-
-(* ------------------------------------------------------------------ *)
-(* Bundle schema checks *)
 
 let tmp_counter = ref 0
 
@@ -434,7 +282,7 @@ let bundle_member what k j =
   | None -> Alcotest.failf "%s: missing %S section" what k
 
 (* The common schema assertions: parseable, versioned, carrying the
-   journal/metrics/session/shards/profiler/violation sections the ops
+   journal/metrics/session/profiler/violation sections the ops
    recorder registers. *)
 let check_bundle_schema ~reason path =
   let b = read_bundle path in
@@ -447,8 +295,7 @@ let check_bundle_schema ~reason path =
   | _ -> Alcotest.fail "reason not a string");
   List.iter
     (fun k -> ignore (bundle_member "bundle" k b))
-    [ "pid"; "journal"; "metrics"; "session"; "shards"; "profiler";
-      "violation" ];
+    [ "pid"; "journal"; "metrics"; "session"; "profiler"; "violation" ];
   (* the journal section is itself a list of well-formed entries *)
   (match bundle_member "bundle" "journal" b with
   | Json.Arr entries ->
@@ -545,7 +392,7 @@ let test_sigusr1_bundle () =
       let x = Tuple.int tuple "x" in
       if x = 8 then Unix.kill (Unix.getpid ()) Sys.sigusr1;
       if x < 16 then ctx.Rule.put (Tuple.make t [| v_int (x + 1) |]));
-  let config = { Config.default with Config.shards = 2; digest = true } in
+  let config = { Config.default with Config.digest = true } in
   let s = Engine.start (Program.freeze p) config in
   let r = Jstar_ops.Ops.make_recorder ~dir s in
   let previous = Sys.signal Sys.sigusr1 Sys.Signal_ignore in
@@ -561,15 +408,7 @@ let test_sigusr1_bundle () =
     | Some p -> p
     | None -> Alcotest.fail "no bundle path"
   in
-  let b = check_bundle_schema ~reason:"signal" path in
-  (* mid-drain: the session section saw a live step counter, the shard
-     section saw the sharded plane *)
-  (match bundle_member "bundle" "shards" b with
-  | Json.Obj fields -> (
-      match List.assoc_opt "count" fields with
-      | Some (Json.Num 2.0) -> ()
-      | _ -> Alcotest.fail "shard section count wrong")
-  | _ -> Alcotest.fail "shards section missing for a sharded run");
+  ignore (check_bundle_schema ~reason:"signal" path);
   (* the dump did not perturb the run *)
   Alcotest.(check int) "chain completed" 17 result.Engine.steps;
   Alcotest.(check bool) "digest still produced" true
@@ -577,16 +416,12 @@ let test_sigusr1_bundle () =
 
 (* ------------------------------------------------------------------ *)
 (* Zero impact: digests bit-identical with the diagnostics plane armed
-   across the threads x shards grid *)
+   at every thread count *)
 
-let grid =
-  [ (1, 0); (1, 2); (1, 4); (2, 0); (2, 2); (2, 4); (4, 0); (4, 2); (4, 4) ]
-
-let diag_config ~threads ~shards ~step_hook =
+let diag_config ~threads ~step_hook =
   {
     (Config.parallel ~threads ()) with
-    Config.shards;
-    tracing = Level.Counters;
+    Config.tracing = Level.Counters;
     digest = true;
     step_hook;
   }
@@ -594,8 +429,8 @@ let diag_config ~threads ~shards ~step_hook =
 let test_digest_grid_with_diagnostics () =
   let dir = fresh_dir "jstar-diag-grid" in
   Fun.protect ~finally:(fun () -> cleanup dir) @@ fun () ->
-  let run_point ~diagnostics (threads, shards) =
-    let p, t = shard_chain_program ~last:40 in
+  let run_point ~diagnostics threads =
+    let p, t = chain_program ~last:40 in
     let frozen = Program.freeze p in
     let alerts =
       if not diagnostics then None
@@ -616,7 +451,7 @@ let test_digest_grid_with_diagnostics () =
       Option.map (fun a step m -> Alerts.eval a ~step m) alerts
     in
     let s =
-      Engine.start frozen (diag_config ~threads ~shards ~step_hook)
+      Engine.start frozen (diag_config ~threads ~step_hook)
     in
     let recorder =
       if not diagnostics then None
@@ -651,18 +486,16 @@ let test_digest_grid_with_diagnostics () =
           result.Engine.outputs )
     | None -> Alcotest.fail "digest missing"
   in
-  let reference = run_point ~diagnostics:false (1, 0) in
+  let reference = run_point ~diagnostics:false 1 in
   List.iter
-    (fun ((threads, shards) as point) ->
-      let plain = run_point ~diagnostics:false point in
-      let armed = run_point ~diagnostics:true point in
-      let label what =
-        Printf.sprintf "%s at threads=%d shards=%d" what threads shards
-      in
+    (fun threads ->
+      let plain = run_point ~diagnostics:false threads in
+      let armed = run_point ~diagnostics:true threads in
+      let label what = Printf.sprintf "%s at threads=%d" what threads in
       Alcotest.(check bool) (label "plain = reference") true
         (plain = reference);
       Alcotest.(check bool) (label "armed = plain") true (armed = plain))
-    grid
+    [ 1; 2; 4 ]
 
 let suite =
   let tc = Alcotest.test_case in
@@ -683,10 +516,6 @@ let suite =
         tc "absent and rate conditions" `Quick test_alert_absent_and_rate;
         tc "CLI spec parser" `Quick test_alert_parse_spec;
       ] );
-    ( "diag.health",
-      [ tc "stuck-shard classification" `Quick test_health_shard_status ] );
-    ( "diag.flows",
-      [ tc "cross-shard flow events in the trace" `Quick test_flow_export ] );
     ( "diag.recorder",
       [
         tc "causality violation bundle" `Quick test_violation_bundle;

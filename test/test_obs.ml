@@ -78,12 +78,8 @@ let test_exact_event_counts () =
   Alcotest.(check int) "gamma-insert span per step" 6 (count Kind.gamma_insert);
   Alcotest.(check int) "batch-fire span per fired tuple and rule" 12
     (count Kind.batch_fire);
-  (* rule-fire spans cover -noDelta immediate firings only, and an
-     unsharded run has no barrier exchange: arenas flush as their unit
-     ends *)
+  (* rule-fire spans cover -noDelta immediate firings only *)
   Alcotest.(check int) "no rule-fire spans" 0 (count Kind.rule_fire);
-  Alcotest.(check int) "no barrier flush unsharded" 0
-    (count Kind.barrier_flush);
   Alcotest.(check int) "nothing dropped" 0 (Tracer.dropped result.Engine.tracer)
 
 (* ------------------------------------------------------------------ *)
