@@ -56,8 +56,8 @@ let run () =
           let t =
             Tuple.make pv
               [|
-                Value.Int fields.(0); Value.Int fields.(1); Value.Int fields.(2);
-                Value.Int fields.(3); Value.Int fields.(4); Value.Int fields.(5);
+                Value.int fields.(0); Value.int fields.(1); Value.int fields.(2);
+                Value.int fields.(3); Value.int fields.(4); Value.int fields.(5);
               |]
           in
           ignore (store.Store.insert t)));
@@ -77,7 +77,7 @@ let run () =
       Jstar_csv.Parse.iter_records data 0 (Bytes.length data) (fun s e ->
           ignore (Jstar_csv.Parse.int_fields_into data s e fields);
           let t =
-            Tuple.make sum_month [| Value.Int fields.(0); Value.Int fields.(1) |]
+            Tuple.make sum_month [| Value.int fields.(0); Value.int fields.(1) |]
           in
           ignore (Delta.insert delta t (Timestamp.of_tuple order t))));
   (* 4. the Statistics reducer per month *)

@@ -34,48 +34,51 @@ type t = {
 (* The custom 'array-of-hashsets' Gamma store of §6.2: a 12-entry array
    indexed by month, each entry holding that month's tuples.  Built by
    "using inheritance to override one factory method" in the paper; here
-   it is a Store.Custom factory. *)
+   it is a Store.Custom factory.
+
+   Each month entry is itself sharded ("either a HashSet or
+   ConcurrentHashMap within each entry of the array"): month-major input
+   means neighbouring readers insert into the *same* month for long
+   stretches, so a single mutex per month would serialise them.  A shard
+   is a [Tuple.Dset] under its own mutex, picked by the high bits of the
+   tuple's cached hash ([Dset] indexes its buckets by the low bits), so
+   an insert hashes the tuple once and compares fields with the
+   schema-compiled [Tuple.equal]. *)
+type month_shard = { lock : Mutex.t; set : Tuple.Dset.t }
+
+let shard_bits = 3
+
 let month_array_store schema =
   let month_pos = Schema.field_pos schema "month" in
-  (* Each month entry is itself sharded ("either a HashSet or
-     ConcurrentHashMap within each entry of the array"): month-major
-     input means neighbouring readers insert into the *same* month for
-     long stretches, so a single mutex per month serialises them. *)
-  let month_shards = 8 in
-  let buckets =
+  let months =
     Array.init 12 (fun _ ->
-        Array.init month_shards (fun _ ->
-            (Mutex.create (), (Hashtbl.create 256 : (Value.t array, Tuple.t) Hashtbl.t))))
+        Array.init (1 lsl shard_bits) (fun _ ->
+            { lock = Mutex.create (); set = Tuple.Dset.create 256 }))
   in
-  let total = Atomic.make 0 in
-  let shard_of t =
-    let fields = Tuple.fields t in
-    (buckets.(Tuple.int_at t month_pos - 1), fields)
+  let valid_month m = m >= 1 && m <= 12 in
+  let shard_of month t =
+    months.(month - 1).(Tuple.hash t lsr (Sys.int_size - shard_bits))
   in
   let iter_month month f =
     Array.iter
-      (fun (mutex, table) ->
-        Mutex.lock mutex;
-        let snapshot = Hashtbl.fold (fun _ t acc -> t :: acc) table [] in
-        Mutex.unlock mutex;
+      (fun sh ->
+        Mutex.lock sh.lock;
+        let snapshot = Tuple.Dset.fold (fun acc t -> t :: acc) sh.set [] in
+        Mutex.unlock sh.lock;
         List.iter f snapshot)
-      buckets.(month - 1)
+      months.(month - 1)
   in
   let insert t =
-    let month_bucket, fields = shard_of t in
-    let mutex, table =
-      month_bucket.(Value.hash_array fields land (month_shards - 1))
-    in
-    Mutex.lock mutex;
-    let added =
-      if Hashtbl.mem table fields then false
-      else begin
-        Hashtbl.replace table fields t;
-        true
-      end
-    in
-    Mutex.unlock mutex;
-    if added then Atomic.incr total;
+    let month = Tuple.int_at t month_pos in
+    if not (valid_month month) then
+      raise
+        (Tuple.Tuple_error
+           (Fmt.str "%s.month: %d is not a month (1..12)" schema.Schema.name
+              month));
+    let sh = shard_of month t in
+    Mutex.lock sh.lock;
+    let added = Tuple.Dset.add_if_absent sh.set t in
+    Mutex.unlock sh.lock;
     added
   in
   {
@@ -84,32 +87,37 @@ let month_array_store schema =
     insert_batch = Store.seq_batch insert;
     mem =
       (fun t ->
-        let month_bucket, fields = shard_of t in
-        let mutex, table =
-          month_bucket.(Value.hash_array fields land (month_shards - 1))
-        in
-        Mutex.lock mutex;
-        let found = Hashtbl.mem table fields in
-        Mutex.unlock mutex;
+        let month = Tuple.int_at t month_pos in
+        valid_month month
+        &&
+        let sh = shard_of month t in
+        Mutex.lock sh.lock;
+        let found = Tuple.Dset.mem sh.set t in
+        Mutex.unlock sh.lock;
         found);
     probe_prefix = Store.no_probe;
     iter_prefix =
       (fun prefix f ->
-        (* queries always supply (year, month); month picks the bucket *)
-        if Array.length prefix >= 2 then
-          iter_month (Value.to_int prefix.(1)) (fun t ->
-              if Tuple.matches_prefix t prefix then f t)
+        let visit t = if Tuple.matches_prefix t prefix then f t in
+        (* queries supply (year, month); the month picks the entry *)
+        if Array.length prefix > month_pos then begin
+          let month = Value.to_int prefix.(month_pos) in
+          if valid_month month then iter_month month visit
+        end
         else
           for month = 1 to 12 do
-            iter_month month (fun t ->
-                if Tuple.matches_prefix t prefix then f t)
+            iter_month month visit
           done);
     iter =
       (fun f ->
         for month = 1 to 12 do
           iter_month month f
         done);
-    size = (fun () -> Atomic.get total);
+    size =
+      (fun () ->
+        Array.fold_left
+          (Array.fold_left (fun n sh -> n + Tuple.Dset.length sh.set))
+          0 months);
   }
 
 let format_mean year month mean = Fmt.str "%d/%d: %.2f" year month mean
@@ -173,12 +181,12 @@ let make ~data ~chunks () =
           ctx.Rule.put
             (Tuple.make pv
                [|
-                 Value.Int fields.(0);
-                 Value.Int fields.(1);
-                 Value.Int fields.(2);
-                 Value.Int fields.(3);
-                 Value.Int fields.(4);
-                 Value.Int fields.(5);
+                 Value.int fields.(0);
+                 Value.int fields.(1);
+                 Value.int fields.(2);
+                 Value.int fields.(3);
+                 Value.int fields.(4);
+                 Value.int fields.(5);
                |])));
   Program.rule p "request_month" ~trigger:pv
     ~puts:[ Spec.put "SumMonth" ]

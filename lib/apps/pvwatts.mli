@@ -25,7 +25,9 @@ type pv_store =
           month at the top level") *)
 
 val month_array_store : Schema.t -> Store.t
-(** The custom store itself, for direct use. *)
+(** The custom store itself, for direct use.  Its insert raises
+    {!Tuple.Tuple_error} for a month outside 1..12, and a query for such
+    a month visits nothing. *)
 
 val config :
   ?threads:int -> ?no_delta:bool -> ?store:pv_store -> unit -> Config.t

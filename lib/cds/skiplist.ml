@@ -93,26 +93,26 @@ let find_node t key preds succs =
   done;
   !found
 
-let find_opt t key =
-  (* Wait-free search that does not need the preds/succs arrays. *)
-  let rec descend pred level =
-    let rec walk pred curr =
-      match curr with
-      | Some c when node_lt t c key -> walk c (Atomic.get c.next.(level))
-      | _ -> (pred, curr)
-    in
-    let _pred, curr = walk pred (Atomic.get pred.next.(level)) in
-    match curr with
-    | Some c when node_eq t c key ->
-        if Atomic.get c.fully_linked && not (Atomic.get c.marked) then
-          Some c.value
-        else if level = 0 then None
-        else descend _pred (level - 1)
-    | _ -> if level = 0 then None else descend _pred (level - 1)
-  in
-  descend t.head (max_level - 1)
+(* Wait-free search that needs no preds/succs arrays: a loop over
+   explicit arguments, so it allocates nothing.  Returns the visible node
+   holding [key], or [t.head] when there is none.  A node that is found
+   but not yet fully linked (or already marked) is invisible: the search
+   keeps descending from the same predecessor. *)
+let rec search t key pred level =
+  match Atomic.get pred.next.(level) with
+  | Some c when node_lt t c key -> search t key c level
+  | Some c
+    when node_eq t c key
+         && Atomic.get c.fully_linked
+         && not (Atomic.get c.marked) ->
+      c
+  | _ -> if level = 0 then t.head else search t key pred (level - 1)
 
-let mem t key = Option.is_some (find_opt t key)
+let find_opt t key =
+  let n = search t key t.head (max_level - 1) in
+  if n == t.head then None else Some n.value
+
+let mem t key = search t key t.head (max_level - 1) != t.head
 
 (* Lock the distinct predecessors from level 0 up to [top]; returns the
    list of locked nodes (for unlocking) and whether validation passed. *)
@@ -186,11 +186,11 @@ let rec add t key value =
       true)
 
 let rec find_or_add t key mk =
-  match find_opt t key with
-  | Some v -> v
-  | None ->
-      let v = mk () in
-      if add t key v then v else find_or_add t key mk
+  let n = search t key t.head (max_level - 1) in
+  if n != t.head then n.value
+  else
+    let v = mk () in
+    if add t key v then v else find_or_add t key mk
 
 (* Lock the distinct predecessors and check each still points at [victim]
    at every level up to [top].  Unlike the insert-side validation, the
@@ -304,19 +304,15 @@ let fold t init f =
 
 let to_list t = List.rev (fold t [] (fun acc k v -> (k, v) :: acc))
 
+(* The last node < [from] at level 0, found through the index levels
+   with the same closure-free loop as [search]. *)
+let rec descend_to t from pred level =
+  match Atomic.get pred.next.(level) with
+  | Some c when node_lt t c from -> descend_to t from c level
+  | _ -> if level = 0 then pred else descend_to t from pred (level - 1)
+
 (* Iterate bindings with key >= from, while [f] keeps returning true. *)
 let iter_from t from f =
-  (* Descend to the first node >= from using the index levels. *)
-  let rec descend pred level =
-    let rec walk pred curr =
-      match curr with
-      | Some c when node_lt t c from -> walk c (Atomic.get c.next.(level))
-      | _ -> pred
-    in
-    let pred = walk pred (Atomic.get pred.next.(level)) in
-    if level = 0 then pred else descend pred (level - 1)
-  in
-  let start = descend t.head (max_level - 1) in
   let rec go node =
     match Atomic.get node.next.(0) with
     | None -> ()
@@ -330,4 +326,4 @@ let iter_from t from f =
         in
         if keep_going then go c
   in
-  go start
+  go (descend_to t from t.head (max_level - 1))

@@ -20,7 +20,10 @@ val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
     concurrent insert wins the race, so it must be side-effect free. *)
 
 val find_opt : ('k, 'v) t -> 'k -> 'v option
+(** Wait-free; allocates only the [Some] of a hit. *)
+
 val mem : ('k, 'v) t -> 'k -> bool
+(** Wait-free; allocates nothing. *)
 
 val remove : ('k, 'v) t -> 'k -> bool
 (** [remove t k] logically then physically deletes [k]; returns whether

@@ -15,6 +15,31 @@ type t =
 
 type ty = TInt | TFloat | TStr | TBool
 
+(* Shared boxes for small non-negative ints: years, months, hours, sites
+   and most CSV readings fit, so a tuple of them shares its field boxes
+   instead of keeping private ones.  Sharing is safe because values are
+   immutable and nothing compares them physically.  The table is built
+   on first use, not at module initialisation: filling it costs about
+   half a millisecond (every young box stored into the major-heap array
+   goes through the write barrier), which a process that never asks for
+   a shared box should not pay.  Two domains racing to build it agree
+   through the CAS. *)
+let small_ints = 8192
+let small_boxes : t array Atomic.t = Atomic.make [||]
+
+let shared_boxes () =
+  let a = Atomic.get small_boxes in
+  if Array.length a > 0 then a
+  else begin
+    let fresh = Array.init small_ints (fun i -> Int i) in
+    ignore (Atomic.compare_and_set small_boxes a fresh);
+    Atomic.get small_boxes
+  end
+
+let int n =
+  if n >= 0 && n < small_ints then Array.unsafe_get (shared_boxes ()) n
+  else Int n
+
 let type_of = function
   | Int _ -> TInt
   | Float _ -> TFloat

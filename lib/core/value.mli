@@ -10,6 +10,11 @@ type ty = TInt | TFloat | TStr | TBool
 
 exception Type_error of string
 
+val int : int -> t
+(** [int n] is a value equal to [Int n].  For [n] in [\[0, 8192)] it is
+    one shared, immutable box per [n], so tuples of small ints do not
+    each keep private boxes; otherwise it is a fresh box. *)
+
 val type_of : t -> ty
 val ty_name : ty -> string
 

@@ -118,7 +118,7 @@ let put_value b = function
 
 let get_value src pos =
   match get_u8 src pos with
-  | 0 -> Value.Int (get_i64 src pos)
+  | 0 -> Value.int (get_i64 src pos)
   | 1 ->
       need src pos 8;
       let bits = Bytes.get_int64_le src !pos in

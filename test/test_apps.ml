@@ -64,6 +64,90 @@ let test_pvwatts_month_array_store () =
   check_pvwatts_config "month-array store"
     (Pvwatts.config ~threads:1 ~store:Pvwatts.Month_array_store ())
 
+let pv_schema = lazy (Pvwatts.make ~data:Bytes.empty ~chunks:1 ()).Pvwatts.pv_table
+
+let pv_tuple (year, month, day, hour, site, power) =
+  Tuple.make (Lazy.force pv_schema)
+    (Array.map Value.int [| year; month; day; hour; site; power |])
+
+(* Contract of the custom month-array store against the ordered [tree]
+   store on the same set: random PvWatts tuples with duplicates,
+   inserted by two domains at once, each in its own order. *)
+let prop_month_array_contract =
+  let row =
+    QCheck.Gen.(
+      map
+        (fun ((year, month, day), (hour, site, power)) ->
+          (year, month, day, hour, site, power))
+        (pair
+           (triple (int_range 2011 2012) (int_range 1 12) (int_range 1 2))
+           (triple (int_range 0 2) (int_range 0 1) (int_range 0 2))))
+  in
+  QCheck.Test.make ~name:"month-array store = tree store" ~count:50
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 400) row))
+    (fun rows ->
+      let schema = Lazy.force pv_schema in
+      let store = Pvwatts.month_array_store schema in
+      let tree = Store.tree schema in
+      let tuples = List.map pv_tuple rows in
+      let wins order =
+        Domain.spawn (fun () ->
+            List.filter (fun t -> store.Store.insert t) (order tuples))
+      in
+      let a = wins Fun.id and b = wins List.rev in
+      let won = Domain.join a @ Domain.join b in
+      List.iter (fun t -> ignore (tree.Store.insert t)) tuples;
+      let sorted l = List.sort Tuple.compare l in
+      let same = List.equal Tuple.equal in
+      let all s =
+        let acc = ref [] in
+        s.Store.iter (fun t -> acc := t :: !acc);
+        sorted !acc
+      in
+      let prefix s year month =
+        let acc = ref [] in
+        s.Store.iter_prefix [| Value.Int year; Value.Int month |] (fun t ->
+            acc := t :: !acc);
+        sorted !acc
+      in
+      let absent =
+        List.map
+          (fun (y, m, d, h, site, p) -> pv_tuple (y, m, d, h, site, p + 3))
+          rows
+      in
+      same (sorted won) (List.sort_uniq Tuple.compare tuples)
+      && store.Store.size () = tree.Store.size ()
+      && List.for_all
+           (fun t -> store.Store.mem t = tree.Store.mem t)
+           (tuples @ absent)
+      && same (all store) (all tree)
+      && List.for_all
+           (fun (y, m) -> same (prefix store y m) (prefix tree y m))
+           (List.concat_map
+              (fun y -> List.init 14 (fun m -> (y, m)))
+              [ 2011; 2012 ]))
+
+(* A month outside 1..12 is a typed error on insert, naming the table,
+   the field and the value, and a query for it visits nothing. *)
+let test_month_array_bad_month () =
+  let schema = Lazy.force pv_schema in
+  let store = Pvwatts.month_array_store schema in
+  ignore (store.Store.insert (pv_tuple (2012, 12, 1, 0, 0, 1)));
+  List.iter
+    (fun month ->
+      let bad = pv_tuple (2012, month, 1, 0, 0, 1) in
+      Alcotest.check_raises
+        (Fmt.str "insert month %d" month)
+        (Tuple.Tuple_error
+           (Fmt.str "PvWatts.month: %d is not a month (1..12)" month))
+        (fun () -> ignore (store.Store.insert bad));
+      Alcotest.(check bool) (Fmt.str "mem month %d" month) false
+        (store.Store.mem bad);
+      store.Store.iter_prefix [| Value.Int 2012; Value.Int month |] (fun t ->
+          Alcotest.failf "iter_prefix month %d visited %s" month (Tuple.show t)))
+    [ 0; 13; -1 ];
+  Alcotest.(check int) "size" 1 (store.Store.size ())
+
 let test_pvwatts_parallel () =
   check_pvwatts_config "2 threads, month-array"
     (Pvwatts.config ~threads:2 ~store:Pvwatts.Month_array_store ());
@@ -283,6 +367,8 @@ let suite =
         tc "-noDelta config" `Quick test_pvwatts_nodelta;
         tc "hash store" `Quick test_pvwatts_hash_store;
         tc "month-array store" `Quick test_pvwatts_month_array_store;
+        QCheck_alcotest.to_alcotest prop_month_array_contract;
+        tc "month-array bad month" `Quick test_month_array_bad_month;
         tc "parallel configs" `Slow test_pvwatts_parallel;
         tc "-noDelta skips Delta" `Slow test_pvwatts_nodelta_skips_delta;
         tc "disruptor version" `Slow test_pvwatts_disruptor;

@@ -215,6 +215,29 @@ let test_sl_concurrent_pop_min () =
            (-1) stream))
     results
 
+(* Searches allocate nothing: [find_opt] on a miss and [mem] on a hit or
+   a miss cost the minor words of an identically-shaped empty loop.  A
+   Gamma dedup probe is one such search per put. *)
+let test_sl_search_zero_alloc () =
+  let t = Skiplist.create ~compare:icompare () in
+  for k = 0 to 999 do
+    ignore (Skiplist.add t (2 * k) k)
+  done;
+  let minor_delta op =
+    let before = Gc.minor_words () in
+    for k = 0 to 999 do
+      ignore (Sys.opaque_identity (op (Sys.opaque_identity k)))
+    done;
+    Gc.minor_words () -. before
+  in
+  let baseline = minor_delta (fun k -> k) in
+  let check name op =
+    Alcotest.(check (float 0.0)) name baseline (minor_delta op)
+  in
+  check "find_opt miss" (fun k -> Skiplist.find_opt t ((2 * k) + 1));
+  check "mem hit" (fun k -> Skiplist.mem t (2 * k));
+  check "mem miss" (fun k -> Skiplist.mem t ((2 * k) + 1))
+
 (* ------------------------------------------------------------------ *)
 (* Cset *)
 
@@ -451,6 +474,7 @@ let suite =
         tc "concurrent disjoint inserts" `Slow test_sl_concurrent_inserts;
         tc "concurrent duplicate race" `Slow test_sl_concurrent_duplicates;
         tc "concurrent pop_min" `Slow test_sl_concurrent_pop_min;
+        tc "search allocates nothing" `Quick test_sl_search_zero_alloc;
       ] );
     ( "cds.cset",
       [

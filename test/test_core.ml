@@ -33,6 +33,38 @@ let test_value_arrays () =
     (Value.compare_arrays [| v_int 1 |] a < 0);
   Alcotest.(check bool) "equal" true (Value.equal_arrays a a)
 
+(* [Value.int] shares one box per int in [0, 8192) and boxes afresh
+   outside it; either way no operation of the runtime can tell its
+   result from [Int n], and the codec decodes ints into shared boxes. *)
+let test_value_int_shared () =
+  let p = Program.create () in
+  let schema =
+    Program.table p "T" ~columns:Schema.[ int_col "x" ] ~orderby:Schema.[ Lit "T" ] ()
+  in
+  let encode v =
+    let b = Buffer.create 16 in
+    Jstar_persist.Codec.encode_tuple b (Tuple.make schema [| v |]);
+    Buffer.to_bytes b
+  in
+  let check n ~shared =
+    let name = string_of_int n in
+    let v = Value.int (Sys.opaque_identity n) in
+    let boxed = Value.Int n in
+    Alcotest.(check bool) (name ^ " shared") shared
+      (v == Value.int (Sys.opaque_identity n));
+    Alcotest.(check bool) (name ^ " equal") true (Value.equal v boxed);
+    Alcotest.(check int) (name ^ " compare") 0 (Value.compare v boxed);
+    Alcotest.(check int) (name ^ " hash") (Value.hash boxed) (Value.hash v);
+    Alcotest.(check bytes) (name ^ " codec") (encode boxed) (encode v);
+    let decoded =
+      Jstar_persist.Codec.decode_tuple ~tables:[| schema |] (encode boxed) (ref 0)
+    in
+    Alcotest.(check bool) (name ^ " decodes shared") shared
+      (Tuple.get decoded 0 == Value.int n)
+  in
+  List.iter (check ~shared:true) [ 0; 8191 ];
+  List.iter (check ~shared:false) [ -1; 8192; max_int; min_int ]
+
 (* ------------------------------------------------------------------ *)
 (* Order relation *)
 
@@ -1004,6 +1036,7 @@ let suite =
         tc "compare" `Quick test_value_compare;
         tc "conversions" `Quick test_value_conversions;
         tc "array ops" `Quick test_value_arrays;
+        tc "int shares small boxes" `Quick test_value_int_shared;
       ] );
     ( "core.order",
       [

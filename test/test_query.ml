@@ -476,9 +476,10 @@ let test_config_validation () =
    the advisor/cache hooks are one [None] branch each.  Duplicate puts
    of a const-timestamp table walk the whole hot path (stats, timestamp
    memo, Gamma mem probe) and must cost the same minor words as an
-   identically-shaped empty loop. *)
+   identically-shaped empty loop — on the sequential Gamma (tree) and
+   on the concurrent one (skip list) alike. *)
 
-let test_put_path_zero_alloc_when_off () =
+let put_path_minor_words data_structures =
   let p = Program.create () in
   let data =
     Program.table p "Data"
@@ -513,9 +514,18 @@ let test_put_path_zero_alloc_when_off () =
               ctx.Rule.put dup
             done));
   let init = [ dup; Tuple.make go [| v_int 0 |] ] in
-  ignore (Engine.run_program ~init p Config.default);
-  Alcotest.(check (float 0.0))
-    "duplicate put allocates nothing with acceleration off" !baseline !puts
+  ignore
+    (Engine.run_program ~init p { Config.default with Config.data_structures });
+  (!baseline, !puts)
+
+let test_put_path_zero_alloc_when_off () =
+  List.iter
+    (fun (name, ds) ->
+      let baseline, puts = put_path_minor_words ds in
+      Alcotest.(check (float 0.0))
+        ("duplicate put allocates nothing with acceleration off, " ^ name)
+        baseline puts)
+    [ ("Auto", Config.Auto); ("Concurrent_ds", Config.Concurrent_ds) ]
 
 (* ------------------------------------------------------------------ *)
 
