@@ -131,12 +131,8 @@ let config_of k =
     {
       (Config.parallel ~threads:2 ()) with
       Config.stores = [ ("Row", Store.Hash_index 1) ];
-      (* The query-acceleration knobs are off: this workload never
-         queries, so they'd only add barrier noise to the ablation.  The
-         profiler is priced by its own row, so the knob rows switch it
-         off explicitly (Config.parallel defaults it on). *)
-      agg_cache = false;
-      advisor = None;
+      (* The profiler is priced by its own row, so the knob rows switch
+         it off explicitly (Config.parallel defaults it on). *)
       profile = k.profile;
       grain = (if k.auto_grain then Config.Auto_grain else Config.Fixed 1);
     }

@@ -82,9 +82,6 @@ let config_of ~auto =
     Config.stores =
       [ ("Edge", Store.Hash_index 1); ("Path", Store.Hash_index 2) ];
     grain = (if auto then Config.Auto_grain else Config.Fixed 1);
-    (* acceleration knobs that are orthogonal to the comparison *)
-    agg_cache = false;
-    advisor = None;
     digest = true;
   }
 

@@ -34,7 +34,6 @@ let targets : (string * string * (unit -> unit)) list =
     ("micro", "Bechamel micro-benchmarks of the substrates", Micro.run);
     ("hotpath", "hot-path knob ablation (batching/grain) + JSON", Hotpath.run);
     ("joins", "batched vs per-tuple rule firing on transitive closure + JSON", Joins.run);
-    ("query", "query acceleration: indexes + agg cache vs scan + JSON", Query.run);
     ("provcost", "provenance/audit/digest overhead + JSON", Provcost.run);
     ("persist", "WAL append overhead + recovery time + JSON", Persist.run);
     ( "serve",

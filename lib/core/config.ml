@@ -14,27 +14,6 @@ type grain =
       (* fixed fork/join leaf size; [Fixed 1] = one task per (tuple,
          rule), the §5.2 strategy *)
 
-type advisor = {
-  adv_warmup : int;
-      (* total prefix queries across all tables before the advisor
-         reviews scan patterns at all *)
-  adv_min_queries : int;
-      (* scans of one (table, prefix length) needed to justify an index *)
-  adv_min_size : int; (* don't index tables smaller than this *)
-  adv_demote_windows : int;
-      (* consecutive cold review windows (an index serving fewer than
-         min_queries/8 of the window's scans is cold) before a promoted
-         index is dropped again; 0 = never demote *)
-}
-
-let advisor_default =
-  {
-    adv_warmup = 512;
-    adv_min_queries = 128;
-    adv_min_size = 256;
-    adv_demote_windows = 4;
-  }
-
 type t = {
   threads : int;
       (* Fork/join pool size (--threads=N); 1 = run on the caller only,
@@ -50,16 +29,6 @@ type t = {
   grain : grain;
       (* triggers per Phase-B firing chunk and iterations per [par_iter]
          leaf under a pool *)
-  indexes : (string * int list) list;
-      (* declared secondary indexes: table name -> prefix lengths,
-         maintained at the Phase-A barrier (Store.indexed) *)
-  agg_cache : bool;
-      (* memoized monoid aggregates: serve Query.count / memo_reduce
-         from barrier-maintained partials instead of Gamma scans *)
-  advisor : advisor option;
-      (* adaptive store advisor: watch per-prefix-length query
-         histograms and promote hot scan patterns to secondary indexes
-         mid-run *)
   max_steps : int option; (* safety valve for runaway programs *)
   tracing : Jstar_obs.Level.t;
       (* Off: zero-cost; Counters: metrics registry only; Spans: also
@@ -109,9 +78,6 @@ let default =
     no_gamma = [];
     stores = [];
     grain = Auto_grain;
-    indexes = [];
-    agg_cache = false;
-    advisor = None;
     max_steps = None;
     tracing = Jstar_obs.Level.Off;
     trace_suppress = [];
@@ -125,17 +91,9 @@ let default =
 
 let sequential = default
 
-(* Parallel defaults include the hot-path optimisations that EXPERIMENTS.md
-   showed strictly helping multi-threaded runs; [default] keeps them off so
-   ablations still have a baseline. *)
-let parallel ?(threads = 4) () =
-  {
-    default with
-    threads;
-    agg_cache = true;
-    advisor = Some advisor_default;
-    profile = true;
-  }
+(* The parallel defaults: a pool and the continuous profiler, which
+   /profile and the heartbeat read. *)
+let parallel ?(threads = 4) () = { default with threads; profile = true }
 
 let effective_mode t =
   match t.data_structures with
@@ -152,23 +110,6 @@ let validate t =
   (match t.grain with
   | Fixed g when g < 1 -> raise (Invalid "grain must be >= 1")
   | _ -> ());
-  List.iter
-    (fun (table, lens) ->
-      if lens = [] then
-        raise (Invalid ("empty index length list for table " ^ table));
-      List.iter
-        (fun l ->
-          if l < 1 then
-            raise (Invalid ("index prefix length must be >= 1 for " ^ table)))
-        lens)
-    t.indexes;
-  (match t.advisor with
-  | Some a ->
-      if
-        a.adv_warmup < 0 || a.adv_min_queries < 1 || a.adv_min_size < 0
-        || a.adv_demote_windows < 0
-      then raise (Invalid "advisor thresholds out of range")
-  | None -> ());
   List.iter
     (fun name ->
       match Jstar_obs.Kind.of_name name with

@@ -14,25 +14,6 @@ type grain =
       (** fixed leaf size; [Fixed 1] is one task per (tuple, rule), the
           §5.2 strategy *)
 
-type advisor = {
-  adv_warmup : int;
-      (** total prefix queries (across tables) before the advisor
-          reviews scan patterns *)
-  adv_min_queries : int;
-      (** scans of one (table, prefix length) needed to justify
-          promoting an index *)
-  adv_min_size : int;  (** tables smaller than this are never indexed *)
-  adv_demote_windows : int;
-      (** consecutive cold review windows (an index serving fewer than
-          [adv_min_queries/8] of the window's scans counts as cold)
-          before a promoted index is dropped again; 0 = never demote *)
-}
-
-val advisor_default : advisor
-(** warmup 512, min queries 128, min size 256, demote after 4 cold
-    windows — conservative enough that short runs never pay a
-    backfill. *)
-
 type t = {
   threads : int;  (** fork/join pool size ([--threads=N]); 1 = caller only *)
   data_structures : data_structures;
@@ -45,26 +26,15 @@ type t = {
   no_gamma : string list;
       (** [-noGamma T]: never store T (trigger-only tables, §5.1) *)
   stores : (string * Store.kind_spec) list;
-      (** per-table Gamma store overrides *)
+      (** per-table Gamma store overrides.  A table's store is its only
+          access path: a table read by its first [k] columns wants
+          [Hash_index k] *)
   grain : grain;
       (** fork/join granularity under a pool: triggers per Phase-B
           firing chunk (each (rule, table) run of a class is split into
           chunks, each sorted by the rule's declared join key and fired
           as one unit of work) and iterations per [par_iter] leaf.
           Without a pool each run fires as one chunk *)
-  indexes : (string * int list) list;
-      (** declared secondary indexes (table name, prefix lengths),
-          built empty at engine start and maintained at the Phase-A
-          barrier — see {!Store.indexed} *)
-  agg_cache : bool;
-      (** memoized monoid aggregates: [Query.count] and
-          [Query.memo_reduce] answer from barrier-maintained partials
-          instead of re-scanning Gamma *)
-  advisor : advisor option;
-      (** adaptive store advisor: watches per-prefix-length query
-          histograms and promotes hot scan patterns to secondary
-          indexes mid-run, reporting through metrics and the
-          [advisor-promote] span kind *)
   max_steps : int option;  (** abort runaway programs *)
   tracing : Jstar_obs.Level.t;
       (** [Off]: zero-cost; [Counters]: metrics registry only; [Spans]:
@@ -122,11 +92,10 @@ val sequential : t
 (** Alias of {!default} — the [-sequential] compiler flag. *)
 
 val parallel : ?threads:int -> unit -> t
-(** Parallel defaults ([threads] defaults to 4): the aggregate cache,
-    the store advisor and the continuous profiler on —
-    the knobs EXPERIMENTS.md showed strictly helping (or costing ≤ 3%
-    on) multi-threaded runs.  {!default} keeps them off so ablation
-    baselines remain reachable. *)
+(** {!default} with a [threads]-worker pool ([threads] defaults to 4)
+    and the continuous profiler ({!field-profile}) on.  The profiler is
+    not free: [BENCH_hotpath.json] prices it at +8.6% on the hot-path
+    workload. *)
 
 val effective_mode : t -> Delta.mode
 (** Which structure family the configuration resolves to. *)
@@ -135,9 +104,8 @@ exception Invalid of string
 
 val validate : t -> unit
 (** @raise Invalid for nonsensical combinations (0 threads, sequential
-    structures with a multi-threaded pool, grain < 1, empty or
-    non-positive index length lists, advisor thresholds out of range,
-    unknown kind names in [trace_suppress], [trace_sample < 1]). *)
+    structures with a multi-threaded pool, grain < 1, unknown kind
+    names in [trace_suppress], [trace_sample < 1]). *)
 
 val resolve_grain : t -> workers:int -> n:int -> int
 (** The fork/join leaf size for [n] items on [workers] workers under

@@ -154,12 +154,6 @@ type state = {
   current_ts : Timestamp.t option ref;
   processed : int ref;
   phases : phase_times;
-  agg : Agg_cache.t option;
-      (* Config.agg_cache: memoized monoid partials, fed with every
-         accepted class tuple at the Phase-A barrier *)
-  advisor : Advisor.t option;
-      (* Config.advisor: per-prefix-length query histograms, reviewed at
-         the end-of-step barrier to promote hot scan patterns *)
   obs : Jstar_obs.Tracer.t;
   metrics : Jstar_obs.Metrics.t;
   trace_spans : bool;
@@ -193,9 +187,8 @@ type state = {
          drains *)
   probe_ok : bool array;
       (* by table id: may a unit cache this table's probe results?
-         Requires Gamma to grow only at Phase-A barriers and never evict
-         — the same indexable && Delta-bound && stored condition as the
-         aggregate cache *)
+         Requires Gamma to grow only at Phase-A barriers and never evict:
+         a Delta-bound, stored table whose store is not custom *)
   rule_sort_pos : int array option array;
       (* by rule id: trigger-field positions of the rule's first
          positive read with a declared all-[Field] [Spec.rd_prefix].
@@ -213,8 +206,8 @@ type state = {
          deterministic counters are bit-identical with it on or off *)
   journal : Jstar_obs.Journal.t;
       (* always-on structured event journal (step seals, drains,
-         advisor decisions, violations) — barrier-frequency mutex +
-         small alloc, never read by evaluation *)
+         violations) — barrier-frequency mutex + small alloc, never read
+         by evaluation *)
   last_violation : (string * Tuple.t list) option ref;
       (* set just before a Causality_violation raises: the message and
          the tuples it names, for the flight recorder's explain-tree
@@ -222,10 +215,10 @@ type state = {
 }
 
 let store_for config ~parallel schema =
-  (* Returns the primary store plus whether {!Store.indexed} may wrap
-     it: custom stores (windowed, native arrays, application-supplied)
-     manage their own lifetime and may evict, which an ever-growing
-     index must never witness. *)
+  (* Returns the store plus whether it is one of the built-in families:
+     custom stores (windowed, native arrays, application-supplied)
+     manage their own lifetime and may evict, so a unit must not cache
+     their probe results. *)
   let name = schema.Schema.name in
   match List.assoc_opt name config.Config.stores with
   | Some (Store.Custom _ as spec) -> (Store.of_spec spec schema, false)
@@ -260,15 +253,8 @@ let make_state frozen config =
   let in_list l s = List.mem s.Schema.name l in
   let no_gamma = Array.map (in_list config.Config.no_gamma) tables in
   let no_delta = Array.map (in_list config.Config.no_delta) tables in
-  (* Secondary-index plumbing: wrap a table's primary store in
-     {!Store.indexed} when it has declared index lengths or the advisor
-     may want to promote one later.  [handles.(i)] keeps the promotion
-     hook; [indexable.(i)] also gates the aggregate cache (both need the
-     barrier-only-growth guarantee a custom store cannot give). *)
   let nt = Array.length tables in
-  let handles = Array.make nt None in
-  let indexable = Array.make nt false in
-  let advisor_on = config.Config.advisor <> None in
+  let builtin = Array.make nt false in
   let order = Program.order_rel frozen.Program.program in
   let const_ts =
     Array.map
@@ -293,19 +279,9 @@ let make_state frozen config =
       (fun i s ->
         if no_gamma.(i) then null_store s
         else begin
-          let declared =
-            match List.assoc_opt s.Schema.name config.Config.indexes with
-            | Some lens -> lens
-            | None -> []
-          in
-          let base, wrappable = store_for config ~parallel s in
-          indexable.(i) <- wrappable;
-          if wrappable && (declared <> [] || advisor_on) then begin
-            let store, h = Store.indexed ~prefix_lens:declared s base in
-            handles.(i) <- Some h;
-            store
-          end
-          else base
+          let store, is_builtin = store_for config ~parallel s in
+          builtin.(i) <- is_builtin;
+          store
         end)
       tables
   in
@@ -318,38 +294,6 @@ let make_state frozen config =
             (List.filter_map Jstar_obs.Kind.of_name
                config.Config.trace_suppress)
           ~sample:config.Config.trace_sample ~level ()
-  in
-  let agg =
-    if config.Config.agg_cache then
-      (* Cacheable = Gamma grows only at Phase-A barriers and never
-         evicts: Delta-bound, stored, non-custom tables.  -noDelta
-         tables insert mid-Phase-B (no safe single-threaded update
-         point), -noGamma tables have nothing to aggregate, custom
-         stores may drop tuples. *)
-      Some
-        (Agg_cache.create
-           ~cacheable:
-             (Array.init nt (fun i ->
-                  indexable.(i) && (not no_delta.(i)) && not no_gamma.(i))))
-    else None
-  in
-  let advisor =
-    match config.Config.advisor with
-    | None -> None
-    | Some a ->
-        let adv_tables =
-          Array.mapi
-            (fun i s ->
-              Advisor.make_table ~name:s.Schema.name ~arity:(Schema.arity s)
-                ~handle:handles.(i)
-                ~size:(fun () -> gamma.(i).Store.size ()))
-            tables
-        in
-        Some
-          (Advisor.create ~warmup:a.Config.adv_warmup
-             ~min_queries:a.Config.adv_min_queries
-             ~min_size:a.Config.adv_min_size
-             ~demote_windows:a.Config.adv_demote_windows adv_tables)
   in
   let metrics = Jstar_obs.Metrics.create () in
   let lineage =
@@ -370,7 +314,7 @@ let make_state frozen config =
   in
   let probe_ok =
     Array.init nt (fun i ->
-        indexable.(i) && (not no_delta.(i)) && not no_gamma.(i))
+        builtin.(i) && (not no_delta.(i)) && not no_gamma.(i))
   in
   let rule_sort_pos =
     (* Resolve each rule's declared hash-join key ([Spec.rd_prefix] of
@@ -435,8 +379,6 @@ let make_state frozen config =
     current_ts = ref None;
     processed = ref 0;
     phases = { t_extract = 0.0; t_gamma = 0.0; t_rules = 0.0 };
-    agg;
-    advisor;
     obs;
     metrics;
     trace_spans = Jstar_obs.Tracer.spans_on obs;
@@ -500,26 +442,6 @@ let make_state frozen config =
           ~name:(String.concat "." [ "gamma"; table; "size" ])
           (fun () -> Jstar_obs.Metrics.Int (st.gamma.(id).Store.size ())))
     tables;
-  (match st.agg with
-  | Some agg ->
-      Jstar_obs.Metrics.register_gauge metrics ~name:"agg.entries" (fun () ->
-          Jstar_obs.Metrics.Int (Agg_cache.entries_count agg))
-  | None -> ());
-  (match st.advisor with
-  | Some adv ->
-      Jstar_obs.Metrics.register_counter metrics ~name:"advisor.promotions"
-        (fun () -> Advisor.promotions_total adv);
-      Jstar_obs.Metrics.register_counter metrics ~name:"advisor.demotions"
-        (fun () -> Advisor.demotions_total adv);
-      Array.iteri
-        (fun id s ->
-          if Option.is_some handles.(id) then
-            Jstar_obs.Metrics.register_gauge metrics
-              ~name:(String.concat "." [ "advisor"; s.Schema.name; "indexes" ])
-              (fun () ->
-                Jstar_obs.Metrics.Int (List.length (Advisor.index_lens adv id))))
-        tables
-  | None -> ());
   (match st.lineage with
   | Some l ->
       Jstar_obs.Metrics.register_gauge metrics ~name:"prov.tuples" (fun () ->
@@ -1011,9 +933,6 @@ let make_ctx st =
           let id = schema.Schema.id in
           let c = Table_stats.counters st.stats id in
           Table_stats.incr c.Table_stats.queries;
-          (match st.advisor with
-          | Some adv -> Advisor.note_query adv id (Array.length prefix)
-          | None -> ());
           let iter =
             match if st.probe_ok.(id) then probe st id prefix else None with
             | Some items -> fun g -> List.iter g items
@@ -1063,7 +982,6 @@ let make_ctx st =
               for i = lo to hi - 1 do
                 f i
               done);
-      agg = st.agg;
     }
   in
   ctx
@@ -1307,12 +1225,6 @@ let run_step st ctx tuples =
     Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.gamma_insert ~arg:n
       ~ts:gamma_t0
       ~dur:(Jstar_obs.Monotonic.now_ns () - gamma_t0);
-  (* Still inside the Phase-A barrier (single-threaded): feed every
-     newly accepted tuple to the registered aggregate partials, so
-     Phase-B reads see partials consistent with the Gamma they query. *)
-  (match st.agg with
-  | Some agg -> Agg_cache.note_batch agg to_fire (Array.length to_fire)
-  | None -> ());
   run_class_effects st ctx tuples;
   (* Phase B: fire all rules of the class, chunked by [Config.grain]. *)
   let t1 = now () in
@@ -1322,33 +1234,6 @@ let run_step st ctx tuples =
      pending before the next class is extracted. *)
   flush_step_outputs st;
   merge_lineage st;
-  (* End-of-step barrier: no rule task is live, so the advisor may
-     mutate store index lists.  The histogram it reads is a function of
-     the schedule-independent class sequence, so promotion decisions
-     replay identically at any thread count. *)
-  (match st.advisor with
-  | Some adv ->
-      let adv_fields table_id prefix_len =
-        [
-          ( "table",
-            Jstar_obs.Json.Str
-              st.frozen.Program.tables.(table_id).Schema.name );
-          ("prefix_len", Jstar_obs.Json.Num (float_of_int prefix_len));
-          ("step", Jstar_obs.Json.Num (float_of_int !(st.step_no)));
-        ]
-      in
-      Advisor.review adv
-        ~on_promote:(fun ~table_id ~prefix_len ->
-          Jstar_obs.Tracer.instant st.obs ~arg:table_id
-            Jstar_obs.Kind.advisor;
-          Jstar_obs.Journal.info st.journal ~comp:"advisor" ~event:"promote"
-            (adv_fields table_id prefix_len))
-        ~on_demote:(fun ~table_id ~prefix_len ->
-          Jstar_obs.Tracer.instant st.obs ~arg:table_id
-            Jstar_obs.Kind.advisor_demote;
-          Jstar_obs.Journal.info st.journal ~comp:"advisor" ~event:"demote"
-            (adv_fields table_id prefix_len))
-  | None -> ());
   (* Profiler barrier fold: the deterministic Table_stats counters and
      store sizes are re-read here (a handful of striped sums per table),
      so the hot path pays nothing for per-table attribution. *)
@@ -1627,13 +1512,9 @@ let load_tuple session tuple =
   if st.no_gamma.(id) then
     invalid_arg
       ("Engine.load_tuple: table " ^ schema.Schema.name ^ " is -noGamma");
-  if st.gamma.(id).Store.insert tuple then begin
+  if st.gamma.(id).Store.insert tuple then
     Table_stats.incr
-      (Table_stats.counters st.stats id).Table_stats.gamma_inserts;
-    match st.agg with
-    | Some agg -> Agg_cache.note_inserted agg tuple
-    | None -> ()
-  end
+      (Table_stats.counters st.stats id).Table_stats.gamma_inserts
 
 let session_pending session = Delta.size session.st.delta
 

@@ -142,9 +142,9 @@ val session_frozen : session -> Program.frozen
 
 val session_journal : session -> Jstar_obs.Journal.t
 (** The always-on structured event journal (step seals, drains,
-    advisor decisions, violations) — the flight recorder's
-    first bundle section and a [/dump] input.  Safe-stale monitoring
-    reads, like every accessor here. *)
+    violations) — the flight recorder's first bundle section and a
+    [/dump] input.  Safe-stale monitoring reads, like every accessor
+    here. *)
 
 val session_violation : session -> (string * Tuple.t list) option
 (** The last causality violation's message and the tuples it names,
@@ -187,9 +187,9 @@ val restore_session_state : session -> session_state -> unit
 val load_tuple : session -> Tuple.t -> unit
 (** Insert a checkpointed tuple directly into its Gamma store — no
     Delta, no rule firing, no output formatting (all of that already
-    happened before the snapshot was taken).  Keeps the aggregate cache
-    coherent.  @raise Invalid_argument for [-noGamma] tables, whose
-    tuples are never snapshotted. *)
+    happened before the snapshot was taken) — and counts it as a Gamma
+    insert in {!Table_stats}.  @raise Invalid_argument for [-noGamma]
+    tables, whose tuples are never snapshotted. *)
 
 val session_pending : session -> int
 (** Tuples waiting in Delta.  Zero after a drain; a checkpoint taken

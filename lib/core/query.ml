@@ -29,10 +29,7 @@ let list ctx schema ?prefix ?where () =
 (* Aggregate and negative queries run inside a [Prov_frame] strict
    scope: the law demands their matches be strictly earlier than the
    trigger, and the runtime auditor ([Config.audit_causality]) enforces
-   [<] instead of [<=] for tuples visited inside the scope.  Answers
-   served from the aggregate cache never visit tuples, so the auditor
-   can only witness scan paths — cached hits are validated by the scan
-   that built the partial. *)
+   [<] instead of [<=] for tuples visited inside the scope. *)
 
 let reduce ctx schema ?prefix ?where ~monoid ~f () =
   Prov_frame.with_strict (fun () ->
@@ -40,139 +37,9 @@ let reduce ctx schema ?prefix ?where ~monoid ~f () =
         ~f:(fun acc t -> monoid.Reducer.combine acc (f t))
         ())
 
-(* -- memoized aggregates -------------------------------------------- *)
-
-(* A memo token names one (table, group-by prefix length, monoid,
-   projection) aggregate.  Created once per program; each engine run
-   keeps its own partials keyed by the token's id (plus negative ids
-   for the transparent [count] path below), so tokens are safely shared
-   across runs and threads.
-
-   The ['a]-typed lookup closure crosses the untyped {!Agg_cache}
-   through a private [univ] extension constructor minted per token —
-   the standard universal-type construction, so no [Obj] anywhere. *)
-
-type 'a memo = {
-  m_id : int;
-  m_schema : Schema.t;
-  m_prefix_len : int;
-  m_monoid : 'a Reducer.monoid;
-  m_f : Tuple.t -> 'a;
-  m_inj : (Value.t array -> 'a option) -> Agg_cache.univ;
-  m_proj : Agg_cache.univ -> (Value.t array -> 'a option) option;
-}
-
-let memo_ids = Atomic.make 0
-
-let memo (type v) schema ~prefix_len ~(monoid : v Reducer.monoid) ~f : v memo =
-  if prefix_len < 0 || prefix_len > Schema.arity schema then
-    raise
-      (Schema.Schema_error
-         (Fmt.str "%s: memo group prefix length %d out of range"
-            schema.Schema.name prefix_len));
-  let module M = struct
-    type Agg_cache.univ += S of (Value.t array -> v option)
-  end in
-  {
-    m_id = Atomic.fetch_and_add memo_ids 1;
-    m_schema = schema;
-    m_prefix_len = prefix_len;
-    m_monoid = monoid;
-    m_f = f;
-    m_inj = (fun l -> M.S l);
-    m_proj = (function M.S l -> Some l | _ -> None);
-  }
-
-let memo_min_by (type k) schema ~prefix_len ~(key : Tuple.t -> k) :
-    Tuple.t option memo =
-  let combine a b =
-    match (a, b) with
-    | None, x | x, None -> x
-    | Some x, Some y ->
-        let c = Stdlib.compare (key x) (key y) in
-        (* Key ties break by tuple order — the order a tree store's scan
-           would encounter them — so the memo is insertion-order-free. *)
-        if c < 0 then a
-        else if c > 0 then b
-        else if Tuple.fast_compare x y <= 0 then a
-        else b
-  in
-  memo schema ~prefix_len
-    ~monoid:{ Reducer.empty = None; combine }
-    ~f:(fun t -> Some t)
-
-(* First touch of a (table, memo) pair: scan current Gamma into a
-   group-key table of partials; afterwards the engine feeds every newly
-   accepted tuple through [update] at the barrier. *)
-let build ctx (m : 'a memo) () : (Tuple.t -> unit) * Agg_cache.univ =
-  let tbl : (Value.t array, 'a) Hashtbl.t = Hashtbl.create 64 in
-  let update t =
-    let key = Array.sub (Tuple.fields t) 0 m.m_prefix_len in
-    let cur =
-      match Hashtbl.find_opt tbl key with
-      | Some v -> v
-      | None -> m.m_monoid.Reducer.empty
-    in
-    Hashtbl.replace tbl key (m.m_monoid.Reducer.combine cur (m.m_f t))
-  in
+let count ctx schema ?prefix ?where () =
   Prov_frame.with_strict (fun () ->
-      ctx.Rule.iter_prefix m.m_schema [||] update);
-  (update, m.m_inj (fun p -> Hashtbl.find_opt tbl p))
-
-let memo_reduce ctx (m : 'a memo) ?(prefix = [||]) () =
-  let scan () = reduce ctx m.m_schema ~prefix ~monoid:m.m_monoid ~f:m.m_f () in
-  if Array.length prefix <> m.m_prefix_len then scan ()
-  else
-    match ctx.Rule.agg with
-    | None -> scan ()
-    | Some cache -> (
-        match
-          Agg_cache.get_or_register cache ~table:m.m_schema.Schema.id
-            ~memo_id:m.m_id ~mk:(build ctx m)
-        with
-        | None -> scan ()
-        | Some u -> (
-            match m.m_proj u with
-            | Some lookup -> (
-                match lookup prefix with
-                | Some v -> v
-                | None -> m.m_monoid.Reducer.empty)
-            | None -> scan ()))
-
-let memo_min ctx m ?prefix () = memo_reduce ctx m ?prefix ()
-
-(* [count] needs no user token: its partial is always an [int], so one
-   shared constructor serves every (table, prefix length), keyed by
-   negative memo ids disjoint from token ids. *)
-type Agg_cache.univ += Count_state of (Value.t array -> int option)
-
-let count ctx schema ?(prefix = [||]) ?where () =
-  let scan () =
-    Prov_frame.with_strict (fun () ->
-        fold ctx schema ~prefix ?where ~init:0 ~f:(fun n _ -> n + 1) ())
-  in
-  let plen = Array.length prefix in
-  match (where, ctx.Rule.agg) with
-  | Some _, _ | _, None -> scan ()
-  | None, Some _ when plen > Schema.arity schema -> scan ()
-  | None, Some cache -> (
-      let mk () =
-        let tbl : (Value.t array, int) Hashtbl.t = Hashtbl.create 64 in
-        let update t =
-          let key = Array.sub (Tuple.fields t) 0 plen in
-          Hashtbl.replace tbl key
-            (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-        in
-        Prov_frame.with_strict (fun () ->
-            ctx.Rule.iter_prefix schema [||] update);
-        (update, Count_state (fun p -> Hashtbl.find_opt tbl p))
-      in
-      match
-        Agg_cache.get_or_register cache ~table:schema.Schema.id
-          ~memo_id:(-plen - 1) ~mk
-      with
-      | Some (Count_state lookup) -> Option.value ~default:0 (lookup prefix)
-      | Some _ | None -> scan ())
+      fold ctx schema ?prefix ?where ~init:0 ~f:(fun n _ -> n + 1) ())
 
 exception Not_unique of string
 
@@ -198,5 +65,13 @@ let min_by ctx schema ?prefix ?where ~key () =
         ~f:(fun acc t ->
           match acc with
           | None -> Some t
-          | Some best -> if key t < key best then Some t else acc)
+          | Some best ->
+              (* Key ties break by tuple order, not by visit order: a
+                 hash bucket lists its tuples newest first, so the
+                 first key-minimal tuple visited depends on the store
+                 and on the schedule that filled it. *)
+              let k = key t and kb = key best in
+              if k < kb || (k = kb && Tuple.fast_compare t best < 0) then
+                Some t
+              else acc)
         ())

@@ -39,12 +39,8 @@ val count :
   ?where:(Tuple.t -> bool) ->
   unit ->
   int
-(** Without [where], and when the run carries an aggregate cache
-    ([Config.agg_cache]) and the table is cacheable, [count] is served
-    from a per-(table, prefix-length) group count maintained at the
-    Phase-A barrier — O(1) after the first touch.  [where] or a
-    non-cacheable table falls back to the scan; both paths return the
-    same number. *)
+(** The number of matching tuples: an aggregate, so matches must be
+    strictly earlier than the trigger. *)
 
 exception Not_unique of string
 
@@ -75,7 +71,9 @@ val min_by :
   key:(Tuple.t -> 'a) ->
   unit ->
   Tuple.t option
-(** [get min T(...)] under a key function. *)
+(** [get min T(...)] under a key function.  Key ties break by tuple
+    order ({!Tuple.fast_compare}), so the answer does not depend on the
+    table's store or on the thread count. *)
 
 val reduce :
   Rule.ctx ->
@@ -87,48 +85,6 @@ val reduce :
   unit ->
   'a
 (** Aggregate query with a reducer monoid (the [Statistics] loop of the
-    PvWatts program). *)
-
-(** {1 Memoized aggregates}
-
-    A {!memo} token names one grouped aggregate — table, group-by
-    prefix length, commutative monoid, projection — declared once next
-    to the program.  {!memo_reduce} then answers from the run's
-    aggregate cache ({!Agg_cache}): the first touch scans Gamma into
-    per-group partials, every later query is a hash lookup, and the
-    engine folds each newly inserted class tuple into the partials at
-    the Phase-A barrier.  Commutativity makes the maintained partial
-    equal to a fresh scan under any schedule; the law of causality
-    (§4) makes both stable by the time a rule may read them.  With the
-    cache off ([Config.agg_cache = false]), a non-cacheable table
-    ([-noDelta]/[-noGamma]/custom stores), or a query prefix of a
-    different length, every combinator transparently scans. *)
-
-type 'a memo
-
-val memo :
-  Schema.t ->
-  prefix_len:int ->
-  monoid:'a Reducer.monoid ->
-  f:(Tuple.t -> 'a) ->
-  'a memo
-(** [memo schema ~prefix_len ~monoid ~f]: aggregate [f] over tuples
-    grouped by their first [prefix_len] fields, combined with [monoid]
-    (which must be commutative for cached and scanned results to
-    agree).  @raise Schema.Schema_error when [prefix_len] is outside
-    [0..arity]. *)
-
-val memo_min_by : Schema.t -> prefix_len:int -> key:(Tuple.t -> 'k) -> Tuple.t option memo
-(** The memoized {!min_by}.  Key ties break by tuple order (what a
-    tree-store scan encounters first), making the result independent of
-    insertion schedule — an ordered-store scan agrees, a hash-store
-    scan may differ on ties. *)
-
-val memo_reduce : Rule.ctx -> 'a memo -> ?prefix:Value.t array -> unit -> 'a
-(** The monoid total for the group [prefix] (empty for an absent
-    group).  O(1) on cache hit; identical to
-    [reduce ~prefix ~monoid ~f] always. *)
-
-val memo_min :
-  Rule.ctx -> Tuple.t option memo -> ?prefix:Value.t array -> unit -> Tuple.t option
-(** [memo_reduce] under its natural name for {!memo_min_by} tokens. *)
+    PvWatts program).  The monoid must be commutative: stores visit
+    tuples in different orders, and a hash store's order depends on the
+    schedule that filled it. *)

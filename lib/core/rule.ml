@@ -25,10 +25,6 @@ type ctx = {
          pool when one exists — the §5.2 "embarrassingly parallel for
          loops within rules".  The iterations must be independent (no
          reducer object); falls back to a sequential loop at 1 thread. *)
-  agg : Agg_cache.t option;
-      (* The run's aggregate cache ([Config.agg_cache]); [None] means
-         every aggregate query scans.  Used through [Query.memo_*] and
-         the [Query.count] fast path, not directly. *)
 }
 
 type t = {

@@ -21,10 +21,6 @@ type ctx = {
       (** [par_iter lo hi f]: an intra-rule parallel loop (§5.2) over
           [lo, hi).  Iterations must be independent; runs sequentially
           when the engine has no pool. *)
-  agg : Agg_cache.t option;
-      (** The run's aggregate cache ([Config.agg_cache]), [None] when
-          off.  Consulted by the {!Query} aggregate combinators; rule
-          bodies never touch it directly. *)
 }
 
 type t = {

@@ -261,8 +261,8 @@ let hash_index ~prefix_len schema =
                 items)
         else
           (* Under-specified prefix: full scan.  Legal but defeats the
-             index — the case a secondary index (or the advisor) fixes
-             without re-keying the primary. *)
+             hash; a table read by its first k columns wants
+             [Hash_index k] (or an ordered store) instead. *)
           Jstar_cds.Chashmap.iter buckets (fun _ b ->
               let items = with_bucket b (fun () -> b.b_items) in
               List.iter
@@ -512,109 +512,6 @@ let of_spec spec schema =
 
 let default_for ~parallel schema =
   if parallel then skiplist schema else tree schema
-
-(* ------------------------------------------------------------------ *)
-(* Indexed wrapper: secondary access paths over a primary store        *)
-
-type indexed_handle = {
-  ih_promote : int -> bool;
-  ih_demote : int -> bool;
-  ih_lens : unit -> int list;
-}
-
-let indexed ?(prefix_lens = []) schema inner =
-  let mk len = Index.create ~prefix_len:len schema in
-  let indexes =
-    Atomic.make (List.map mk (List.sort_uniq Int.compare prefix_lens))
-  in
-  (* Largest index still covered by the query prefix: the tightest
-     bucket, fewest residual filters. *)
-  let best_for plen ixs =
-    List.fold_left
-      (fun acc ix ->
-        let l = Index.prefix_len ix in
-        if l > plen then acc
-        else
-          match acc with
-          | Some b when Index.prefix_len b >= l -> acc
-          | _ -> Some ix)
-      None ixs
-  in
-  let store =
-    {
-      kind = "indexed:" ^ inner.kind;
-      insert =
-        (fun t ->
-          if inner.insert t then (
-            List.iter (fun ix -> Index.add ix t) (Atomic.get indexes);
-            true)
-          else false);
-      insert_batch =
-        (fun arr lo hi ->
-          let res = inner.insert_batch arr lo hi in
-          (match Atomic.get indexes with
-          | [] -> ()
-          | ixs ->
-              Array.iteri
-                (fun k fresh ->
-                  if fresh then
-                    List.iter (fun ix -> Index.add ix arr.(lo + k)) ixs)
-                res);
-          res);
-      mem = inner.mem;
-      iter_prefix =
-        (fun prefix f ->
-          match best_for (Array.length prefix) (Atomic.get indexes) with
-          | Some ix -> Index.iter_prefix ix prefix f
-          | None -> inner.iter_prefix prefix f);
-      probe_prefix =
-        (fun prefix ->
-          (* Must route exactly like [iter_prefix] so a batched probe
-             visits the same tuples in the same order as a scan. *)
-          match best_for (Array.length prefix) (Atomic.get indexes) with
-          | Some ix -> Some (Index.probe ix prefix)
-          | None -> inner.probe_prefix prefix);
-      iter = inner.iter;
-      size = inner.size;
-    }
-  in
-  let promote len =
-    if List.exists (fun ix -> Index.prefix_len ix = len) (Atomic.get indexes)
-    then false
-    else begin
-      (* Build complete, then publish: readers either still scan the
-         primary or see the fully backfilled index, never a partial one.
-         Callers run this at a barrier (no concurrent inserts), so the
-         backfill cannot miss tuples either. *)
-      let ix = mk len in
-      inner.iter (fun t -> Index.add ix t);
-      Atomic.set indexes (ix :: Atomic.get indexes);
-      true
-    end
-  in
-  let demote len =
-    (* Drop the index with exactly this length.  Publishing the shorter
-       list is a single atomic store; readers mid-query keep iterating
-       the removed index (it stays consistent, just unreferenced), new
-       queries fall back to the primary or a remaining index.  Like
-       [promote], callers run this at a barrier. *)
-    let ixs = Atomic.get indexes in
-    if List.exists (fun ix -> Index.prefix_len ix = len) ixs then begin
-      Atomic.set indexes
-        (List.filter (fun ix -> Index.prefix_len ix <> len) ixs);
-      true
-    end
-    else false
-  in
-  ( store,
-    {
-      ih_promote = promote;
-      ih_demote = demote;
-      ih_lens =
-        (fun () ->
-          List.sort Int.compare (List.map Index.prefix_len (Atomic.get indexes)));
-    } )
-
 
 (* ------------------------------------------------------------------ *)
 (* Windowed stores: manual lifetime hints                              *)

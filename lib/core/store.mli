@@ -38,7 +38,8 @@ type kind_spec =
           default. *)
   | Hash_index of int
       (** Hash map keyed by the first [n] fields (ConcurrentHashMap);
-          prefix queries of length >= [n] hit one bucket. *)
+          prefix queries of length >= [n] hit one bucket, shorter ones
+          scan every bucket — key it on the prefix the rules read. *)
   | Custom of (Schema.t -> t)
       (** Application-supplied store — the "override the factory method"
           hook of §6.2. *)
@@ -94,33 +95,6 @@ val native_float_array : dims:int array -> Schema.t -> t * float_array_handle
 val of_spec : kind_spec -> Schema.t -> t
 val default_for : parallel:bool -> Schema.t -> t
 (** [Skiplist] when parallel, [Tree] otherwise. *)
-
-type indexed_handle = {
-  ih_promote : int -> bool;
-      (** [ih_promote len] adds a secondary index on the first [len]
-          fields, backfilled from the primary; [false] if one with that
-          exact length already exists.  Must run with no concurrent
-          inserts (the engine calls it at a Phase-A barrier).
-          @raise Schema.Schema_error when [len] is outside [1..arity]. *)
-  ih_demote : int -> bool;
-      (** [ih_demote len] drops the secondary index with exactly that
-          prefix length; [false] when none exists.  Queries fall back
-          to the primary (or a remaining index).  Same barrier
-          contract as {!field-ih_promote}. *)
-  ih_lens : unit -> int list;  (** current index prefix lengths, sorted *)
-}
-
-val indexed : ?prefix_lens:int list -> Schema.t -> t -> t * indexed_handle
-(** [indexed ~prefix_lens schema inner]: the query-acceleration wrapper.
-    The primary [inner] keeps ownership of dedup, [mem], [iter] and
-    [size]; each {!Index.t} adds a hash access path on a prefix length,
-    maintained on every accepted insert and used by [iter_prefix]
-    whenever the query prefix covers an index (largest covered length
-    wins; shorter prefixes fall back to the primary).  Do not wrap
-    evicting stores ({!windowed}) — indexes only ever grow, so they
-    would resurrect dropped tuples.
-    @raise Schema.Schema_error for declared lengths outside
-    [1..arity]. *)
 
 val flat_index : int array -> int array -> int
 (** Row-major flattening of a multi-dimensional key; exposed for custom

@@ -6,10 +6,8 @@
     on a shared cache line; reads sum the stripes. *)
 
 type counter
-
-val make_counter : unit -> counter
-(** A free-standing striped counter, for components that extend the
-    per-table set (e.g. the advisor's per-prefix-length histograms). *)
+(** One striped counter of a table's set; the engine makes them all in
+    {!create}. *)
 
 val incr : counter -> unit
 

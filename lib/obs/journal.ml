@@ -2,9 +2,9 @@
    events fed by the engine, persist and ops layers — the
    narrative companion to the numeric registry.  Metrics say *how much*;
    the journal says *what happened* (step seals, drains,
-   checkpoints, advisor decisions, audit violations) in the order it
-   happened, bounded by a fixed-capacity ring so a long run keeps the
-   recent window — the one a post-mortem needs.
+   checkpoints, audit violations) in the order it happened, bounded
+   by a fixed-capacity ring so a long run keeps the recent window —
+   the one a post-mortem needs.
 
    Concurrency: one mutex around the ring.  Journal events are
    barrier-frequency (steps, drains, checkpoints), not put-frequency,

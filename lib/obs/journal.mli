@@ -1,6 +1,6 @@
 (** Structured event journal: severity-tagged, ring-buffered JSON-line
-    events (step seals, drains, checkpoint/recovery, advisor
-    decisions, audit violations) — the narrative companion to the
+    events (step seals, drains, checkpoint/recovery, audit
+    violations) — the narrative companion to the
     numeric {!Metrics} registry, and the first section of every flight
     recorder bundle ({!Recorder}).
 

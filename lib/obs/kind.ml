@@ -13,12 +13,10 @@ let drain = 4
 let spawn = 5
 let steal = 6
 let idle = 7
-let advisor = 8
-let prov_merge = 9
-let audit = 10
-let advisor_demote = 11
-let batch_fire = 12
-let builtin_count = 13
+let prov_merge = 8
+let audit = 9
+let batch_fire = 10
+let builtin_count = 11
 
 let builtin_names =
   [|
@@ -30,10 +28,8 @@ let builtin_names =
     "pool-spawn";
     "pool-steal";
     "pool-idle";
-    "advisor-promote";
     "prov-merge";
     "audit-violation";
-    "advisor-demote";
     "batch-fire";
   |]
 

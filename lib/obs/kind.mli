@@ -23,16 +23,11 @@ val steal : t  (** successful deque steal (instant) *)
 
 val idle : t  (** pool worker parked waiting for work *)
 
-val advisor : t  (** store advisor promoted a secondary index (instant) *)
-
 val prov_merge : t  (** lineage arenas merged at a step barrier *)
 
 val audit : t
 (** runtime causality auditor found a violation (instant, recorded just
     before the exception is raised) *)
-
-val advisor_demote : t
-(** store advisor dropped a cold secondary index (instant) *)
 
 val batch_fire : t
 (** Phase B firing: one (rule, table)-chunk unit of a class execution;

@@ -8,7 +8,6 @@
 
      table.<T>.<field>    ->  <ns>_table_<field>{table="<T>"}
      gamma.<T>.size       ->  <ns>_gamma_size{table="<T>"}
-     advisor.<T>.indexes  ->  <ns>_advisor_indexes{table="<T>"}
      anything else        ->  <ns>_<name with [^a-zA-Z0-9_:] -> '_'>
 
    Histograms render as cumulative buckets plus the mandatory [+Inf]
@@ -56,8 +55,6 @@ let classify name =
   | [ "table"; t; field ] ->
       { family = "table_" ^ sanitize_name field; labels = [ ("table", t) ] }
   | [ "gamma"; t; "size" ] -> { family = "gamma_size"; labels = [ ("table", t) ] }
-  | [ "advisor"; t; "indexes" ] ->
-      { family = "advisor_indexes"; labels = [ ("table", t) ] }
   | _ -> { family = sanitize_name name; labels = [] }
 
 let render_labels b labels =

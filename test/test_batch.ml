@@ -70,7 +70,7 @@ let grid_config ~threads ~grain =
   {
     c with
     Config.grain;
-    indexes = [ ("Edge", [ 1 ]) ];
+    stores = [ ("Edge", Store.Hash_index 1) ];
     provenance = true;
     audit_causality = true;
     digest = true;
@@ -211,8 +211,8 @@ let prop_closure_grid =
 (* ------------------------------------------------------------------ *)
 (* Closure plus a negative rule (Sink: reached nodes with no outgoing
    edge) and an aggregate rule (Deg: the out-degree of every path
-   source), with the aggregate cache on — the positive hash-join probe,
-   the negative scan and the cached aggregate in one program.  Every
+   source) — the positive hash-join probe, the negative scan and the
+   aggregate scan in one program.  Every
    grid point must hold exactly the sets computed without the engine,
    and report the digests, stats and Delta totals of threads = 1. *)
 
@@ -276,12 +276,6 @@ let closure_rules_program () =
   Program.output p sink (fun t -> Printf.sprintf "sink %d" (Tuple.int t "n"));
   { k_program = p; k_edge = edge; k_path = path; k_sink = sink; k_deg = deg }
 
-(* [Config.parallel] turns the aggregate cache on and [default] leaves
-   it off, which changes the per-table query counters; pin it so the
-   grid varies only threads and grain. *)
-let closure_rules_config ~threads ~grain =
-  { (grid_config ~threads ~grain) with Config.agg_cache = true }
-
 (* Path, Sink and Deg computed without the engine. *)
 let closure_rules_reference edges =
   let edges = List.sort_uniq compare edges in
@@ -315,7 +309,7 @@ let run_closure_rules edges (threads, grain) =
   let result, gamma =
     Engine.run_with_gamma ~init
       (Program.freeze k.k_program)
-      (closure_rules_config ~threads ~grain)
+      (grid_config ~threads ~grain)
   in
   let paths, sinks, degs = closure_rules_reference edges in
   let ok =
@@ -526,7 +520,7 @@ let test_session_grid () =
   check_reference ~msg:"session" session_reference observations
 
 (* ------------------------------------------------------------------ *)
-(* Probe contract: hash, indexed and ordered stores answer probe_prefix
+(* Probe contract: hash and ordered stores answer probe_prefix
    with exactly the tuples iter_prefix visits; only stores with no
    access path at all decline. *)
 
@@ -559,11 +553,6 @@ let test_probe_prefix_contract () =
       [ [| v_int 0 |]; [| v_int 1 |]; [| v_int 9 |] ]
   in
   check_store "hash" (Store.of_spec (Store.Hash_index 1) schema);
-  let indexed, _h =
-    Store.indexed ~prefix_lens:[ 1 ] schema
-      (Store.of_spec Store.Tree schema)
-  in
-  check_store "indexed" indexed;
   (* ordered stores now materialise the range scan in visit order —
      the vectorized negative/aggregate path; probe must equal scan,
      including visit order *)

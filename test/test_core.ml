@@ -513,9 +513,7 @@ let test_store_insert_batch () =
   in
   check_store "tree" (Store.tree s);
   check_store "skiplist" (Store.skiplist s);
-  check_store "hash" (Store.hash_index ~prefix_len:1 s);
-  check_store "indexed"
-    (fst (Store.indexed ~prefix_lens:[ 1 ] s (Store.tree s)))
+  check_store "hash" (Store.hash_index ~prefix_len:1 s)
 
 let test_store_native_int () =
   let p = Program.create () in

@@ -295,38 +295,30 @@ let prop_solver_sound =
       else true)
 
 (* ------------------------------------------------------------------ *)
-(* Hot-path knobs (firing grain, query acceleration) are pure
+(* Hot-path knobs (firing grain, store choice) are pure
    optimizations: every combination, at every thread count,
    must print exactly the same lines.  Outputs are sorted per step by
-   the engine, so plain list equality is the right check.  The [accel]
-   axis turns on the aggregate cache plus an aggressive advisor (tiny
-   thresholds, so promotions really do land mid-run in these small
-   programs). *)
+   the engine, so plain list equality is the right check.  The [hashed]
+   axis moves the table the rules probe from its configured store to a
+   hash store keyed on the probed prefix. *)
 
 let knob_grid =
   List.concat_map
     (fun threads ->
       List.concat_map
         (fun grain ->
-          List.map (fun accel -> (threads, grain, accel)) [ false; true ])
+          List.map (fun hashed -> (threads, grain, hashed)) [ false; true ])
         [ Config.Auto_grain; Fixed 1 ])
     [ 1; 2; 4 ]
 
-let with_knobs base (grain, accel) =
+(* [hash] is the (table, store) override the [hashed] axis prepends,
+   so it wins over any store the base configuration gives the table. *)
+let with_knobs ~hash base (grain, hashed) =
   {
     base with
     Config.grain;
-    agg_cache = accel;
-    advisor =
-      (if accel then
-         Some
-           {
-             Config.adv_warmup = 4;
-             adv_min_queries = 2;
-             adv_min_size = 1;
-             adv_demote_windows = 4;
-           }
-       else None);
+    stores =
+      (if hashed then hash :: base.Config.stores else base.Config.stores);
   }
 
 (* [run ~threads knobs] must return the output lines of one engine run;
@@ -334,7 +326,7 @@ let with_knobs base (grain, accel) =
 let outputs_agree run =
   match
     List.map
-      (fun (threads, grain, accel) -> run ~threads (grain, accel))
+      (fun (threads, grain, hashed) -> run ~threads (grain, hashed))
       knob_grid
   with
   | [] -> true
@@ -377,7 +369,10 @@ let prop_knobs_closure_invariant =
           let base =
             if threads = 1 then Config.default else Config.parallel ~threads ()
           in
-          let r = Engine.run_program ~init p (with_knobs base knobs) in
+          let r =
+            Engine.run_program ~init p
+              (with_knobs ~hash:("Edge", Store.Hash_index 1) base knobs)
+          in
           r.Engine.outputs))
 
 let prop_knobs_pvwatts_invariant =
@@ -391,7 +386,10 @@ let prop_knobs_pvwatts_invariant =
       in
       outputs_agree (fun ~threads knobs ->
           let cfg =
-            with_knobs (Jstar_apps.Pvwatts.config ~threads ()) knobs
+            with_knobs
+              ~hash:("PvWatts", Store.Hash_index 2)
+              (Jstar_apps.Pvwatts.config ~threads ())
+              knobs
           in
           let r = Jstar_apps.Pvwatts.run ~data cfg in
           r.Engine.outputs))
