@@ -191,10 +191,9 @@ let run () =
   let tuples = ref 0 in
   let run_once k =
     let p, init = build () in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Jstar_obs.Monotonic.now_ns () in
     let r = Engine.run_program ~init p (config_of k) in
-    let t = Unix.gettimeofday () -. t0 in
-    (r, t)
+    (r, Jstar_obs.Monotonic.since_s t0)
   in
   (* Warmup pass, doubling as the cross-configuration determinism
      check: every knob combination must print the same lines — the
@@ -220,12 +219,9 @@ let run () =
         (match Sys.getenv_opt "HOTPATH_DEBUG" with
         | Some _ ->
             Printf.printf
-              "DEBUG %s: tuples=%d steps=%d dins=%d ddup=%d extract=%.3f \
-               gamma=%.3f rules=%.3f t=%.3f\n%!"
+              "DEBUG %s: tuples=%d steps=%d dins=%d ddup=%d t=%.3f\n%!"
               k.label r.Engine.tuples_processed r.Engine.steps
-              r.Engine.delta_inserted r.Engine.delta_deduped
-              r.Engine.phases.Engine.t_extract r.Engine.phases.Engine.t_gamma
-              r.Engine.phases.Engine.t_rules t
+              r.Engine.delta_inserted r.Engine.delta_deduped t
         | None -> ());
         match Hashtbl.find_opt best k.label with
         | Some t' when t' <= t -> ()

@@ -99,18 +99,15 @@ let run () =
        n_edges c threads);
   let run_once ~auto =
     let p, _edge, _path, init = build () in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Jstar_obs.Monotonic.now_ns () in
     let r = Engine.run_program ~init p (config_of ~auto) in
-    let t = Unix.gettimeofday () -. t0 in
+    let t = Jstar_obs.Monotonic.since_s t0 in
     (match Sys.getenv_opt "JOINS_DEBUG" with
     | Some _ ->
         Printf.printf
-          "DEBUG auto_grain=%b: tuples=%d steps=%d dins=%d ddup=%d \
-           extract=%.3f gamma=%.3f rules=%.3f t=%.3f\n%!"
+          "DEBUG auto_grain=%b: tuples=%d steps=%d dins=%d ddup=%d t=%.3f\n%!"
           auto r.Engine.tuples_processed r.Engine.steps
-          r.Engine.delta_inserted r.Engine.delta_deduped
-          r.Engine.phases.Engine.t_extract r.Engine.phases.Engine.t_gamma
-          r.Engine.phases.Engine.t_rules t
+          r.Engine.delta_inserted r.Engine.delta_deduped t
     | None -> ());
     (r, t)
   in

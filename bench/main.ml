@@ -11,12 +11,14 @@
    machine and era); the *shapes* — who wins, by what factor, which
    programs scale — are the reproduction target.  See EXPERIMENTS.md. *)
 
-(* A bounded all-up check: the two headline figures plus the hot-path
-   ablation at smoke scale — `dune build @bench-smoke`. *)
+(* A bounded all-up check: the two headline figures, the §6.3 phase
+   split and the hot-path ablation at smoke scale —
+   `dune build @bench-smoke`. *)
 let smoke () =
   Util.scale := Util.Quick;
   Fig8.run ();
   Fig12.run ();
+  Sec63.run ();
   Hotpath.run ()
 
 let targets : (string * string * (unit -> unit)) list =
@@ -39,7 +41,7 @@ let targets : (string * string * (unit -> unit)) list =
     ( "serve",
       "jstar-serve saturation grid + branch/merge + backpressure + JSON",
       Serve.run );
-    ("smoke", "quick-scale fig8 + fig12 + hotpath, bounded runtime", smoke);
+    ("smoke", "quick-scale fig8 + fig12 + sec63 + hotpath, bounded runtime", smoke);
   ]
 
 let usage () =
@@ -66,7 +68,7 @@ let () =
   in
   let chosen = parse [] args in
   let chosen = if chosen = [] || chosen = [ "all" ] then List.map (fun (n, _, _) -> n) targets else chosen in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Jstar_obs.Monotonic.now_ns () in
   Fmt.pr "jstar benchmark harness — %d core(s), scale=%s@." Util.cores
     (match !Util.scale with
     | Util.Quick -> "quick"
@@ -81,4 +83,4 @@ let () =
           usage ();
           exit 1)
     chosen;
-  Fmt.pr "@.total bench time: %.1fs@." (Unix.gettimeofday () -. t0)
+  Fmt.pr "@.total bench time: %.1fs@." (Jstar_obs.Monotonic.since_s t0)

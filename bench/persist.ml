@@ -59,34 +59,34 @@ let rec rm_rf path =
 (* One full session through the plain engine: the baseline. *)
 let run_plain n =
   let p, reading = build () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Jstar_obs.Monotonic.now_ns () in
   let s = Engine.start (Program.freeze p) config in
   for t = 0 to n - 1 do
     Engine.feed s (batch reading t);
     ignore (Engine.drain s)
   done;
   let r = Engine.finish s in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Jstar_obs.Monotonic.since_s t0)
 
 (* The same schedule through Durable; the directory is left behind so
    recovery can be timed against it. *)
 let run_durable ?(checkpoint_every = 0) ~fsync n dir =
   rm_rf dir;
   let p, reading = build () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Jstar_obs.Monotonic.now_ns () in
   let d, _ = Durable.open_ ~checkpoint_every ~fsync ~dir (Program.freeze p) config in
   for t = 0 to n - 1 do
     Durable.feed d (batch reading t);
     ignore (Durable.drain d)
   done;
   let r = Durable.finish d in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Jstar_obs.Monotonic.since_s t0)
 
 let time_recovery dir =
   let p, _ = build () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Jstar_obs.Monotonic.now_ns () in
   let d, status = Durable.open_ ~dir (Program.freeze p) config in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Jstar_obs.Monotonic.since_s t0 in
   let feeds, drains =
     match status with
     | Durable.Restored r -> (r.Durable.r_feeds, r.Durable.r_drains)

@@ -54,9 +54,9 @@ let run () =
   let volume = Hashtbl.create 8 in
   let run_once k =
     let p, init = Hotpath.build ~prov_optout:k.optout () in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Jstar_obs.Monotonic.now_ns () in
     let r = Engine.run_program ~init p (config_of k) in
-    let t = Unix.gettimeofday () -. t0 in
+    let t = Jstar_obs.Monotonic.since_s t0 in
     (match r.Engine.lineage with
     | Some l ->
         Hashtbl.replace volume k.label

@@ -10,24 +10,31 @@
 
    We measure the same decomposition on the same substrate operations:
    a parse-only pass, then the tuple-creation + Gamma-insert work, then
-   SumMonth Delta traffic, then the reduction. *)
+   SumMonth Delta traffic, then the reduction.  Each phase is one
+   tracer span, so the split printed here and the --trace-out artifact
+   are one measurement. *)
 
 open Jstar_core
 
+(* Amdahl's law: the speedup bound when a [serial] fraction of the work
+   stays serial and the rest parallelises over [workers] ways. *)
+let amdahl ~serial ~workers =
+  1.0 /. (serial +. ((1.0 -. serial) /. float_of_int workers))
+
 let run () =
+  (* The paper's own example pins the arithmetic before anything is
+     measured: 1 / (0.169 + (1 - 0.169) / 12) = 4.2x. *)
+  let paper_bound = amdahl ~serial:0.169 ~workers:12 in
+  if Float.abs (paper_bound -. 4.2) > 0.05 then
+    failwith (Printf.sprintf "sec63: Amdahl(0.169, 12) = %.3f, not 4.2" paper_bound);
   let installations = Util.pvwatts_installations () in
   let data =
     Jstar_csv.Pvwatts_data.to_bytes ~installations
       ~ordering:Jstar_csv.Pvwatts_data.Month_major
   in
-  let timer = Jstar_obs.Phase_timer.create () in
-  (* The same decomposition doubles as a trace artifact: each phase
-     becomes a named span, exported Perfetto-ready via --trace-out. *)
   let tracer = Jstar_obs.Tracer.create ~level:Jstar_obs.Level.Spans () in
   let phase name f =
-    let kind = Jstar_obs.Tracer.register_kind tracer name in
-    Jstar_obs.Tracer.span tracer kind (fun () ->
-        Jstar_obs.Phase_timer.time timer name f)
+    Jstar_obs.Tracer.span tracer (Jstar_obs.Tracer.register_kind tracer name) f
   in
   let p = Program.create () in
   let pv =
@@ -92,12 +99,19 @@ let run () =
         ignore (Reducer.Statistics.mean !stats)
       done);
   Util.heading "Sec 6.3: PvWatts single-thread phase breakdown";
-  Fmt.pr "%a" Jstar_obs.Phase_timer.pp timer;
+  Jstar_obs.Export.console Fmt.stdout tracer;
   Util.note
     "paper: read 16.9%% | Gamma insert 63.7%% | Delta insert 3.8%% | reduce \
      15.6%%";
+  let phases = Jstar_obs.Tracer.aggregate tracer in
+  let ns_of name =
+    List.fold_left (fun acc (n, _, ns) -> if n = name then acc + ns else acc) 0
+      phases
+  in
+  let total = List.fold_left (fun acc (_, _, ns) -> acc + ns) 0 phases in
   let bound =
-    Jstar_obs.Phase_timer.amdahl_bound timer ~serial:[ "read+parse" ]
+    amdahl
+      ~serial:(float_of_int (ns_of "read+parse") /. float_of_int total)
       ~workers:12
   in
   Util.note

@@ -132,7 +132,7 @@ let run_cell frozen root ~sessions ~conns ~oracle_fp =
   let n = ticks () in
   let server = start_server frozen root in
   let port = Serve.Server.port server in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Jstar_obs.Monotonic.now_ns () in
   let results =
     if conns = 1 then
       concurrently
@@ -147,7 +147,7 @@ let run_cell frozen root ~sessions ~conns ~oracle_fp =
              client_run frozen ~port ~session:"bench/shared" ~from:(i * per)
                ~ticks:per))
   in
-  let seconds = Unix.gettimeofday () -. t0 in
+  let seconds = Jstar_obs.Monotonic.since_s t0 in
   let parity =
     conns = 1 && List.for_all (fun fp -> fp = oracle_fp) results
   in

@@ -55,9 +55,9 @@ let time ?(warmup = 1) ?(repeats = 3) f =
   done;
   let best = ref infinity in
   for _ = 1 to repeats do
-    let t0 = Unix.gettimeofday () in
+    let t0 = Jstar_obs.Monotonic.now_ns () in
     ignore (f ());
-    best := Float.min !best (Unix.gettimeofday () -. t0)
+    best := Float.min !best (Jstar_obs.Monotonic.since_s t0)
   done;
   !best
 

@@ -433,12 +433,12 @@ let matmul_cmd =
   let run n threads boxed verify show_stats =
     tune_runtime ();
     let variant = if boxed then Jstar_apps.Matmul.Boxed else Jstar_apps.Matmul.Unboxed in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Jstar_obs.Monotonic.now_ns () in
     let result, get = Jstar_apps.Matmul.run ~n ~variant ~threads () in
     Fmt.pr "C[0][0]=%d C[%d][%d]=%d@." (get 0 0) (n - 1) (n - 1)
       (get (n - 1) (n - 1));
     Fmt.pr "-- %.3fs (%s, %d threads)@."
-      (Unix.gettimeofday () -. t0)
+      (Jstar_obs.Monotonic.since_s t0)
       (if boxed then "boxed" else "unboxed")
       threads;
     if verify then begin
@@ -558,32 +558,6 @@ let ship_cmd =
    restart, and --crash-after can SIGKILL the process mid-run to
    demonstrate recovery. *)
 
-let fsync_conv =
-  let parse s =
-    match s with
-    | "always" -> Ok Jstar_persist.Wal.Always
-    | "never" -> Ok Jstar_persist.Wal.Never
-    | s when Filename.check_suffix s "ms" -> (
-        match int_of_string_opt (Filename.chop_suffix s "ms") with
-        | Some n when n > 0 -> Ok (Jstar_persist.Wal.Every_ms n)
-        | _ -> Error (`Msg "expected a positive window like 5ms"))
-    | s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> Ok (Jstar_persist.Wal.Every n)
-        | _ ->
-            Error
-              (`Msg
-                 "expected always, never, a positive record count, or a \
-                  window like 5ms"))
-  in
-  let print ppf = function
-    | Jstar_persist.Wal.Always -> Fmt.string ppf "always"
-    | Jstar_persist.Wal.Never -> Fmt.string ppf "never"
-    | Jstar_persist.Wal.Every n -> Fmt.pf ppf "%d" n
-    | Jstar_persist.Wal.Every_ms n -> Fmt.pf ppf "%dms" n
-  in
-  Arg.conv (parse, print)
-
 let stream_cmd =
   let ticks =
     Arg.(value & opt int 200 & info [ "ticks" ] ~docv:"N"
@@ -606,10 +580,14 @@ let stream_cmd =
                  history).")
   in
   let fsync =
-    Arg.(value & opt fsync_conv Jstar_persist.Wal.Always
+    Arg.(value
+         & opt
+             (conv' Jstar_persist.Wal.(fsync_policy_of_string, pp_fsync_policy))
+             Jstar_persist.Wal.Always
          & info [ "fsync" ] ~docv:"POLICY"
              ~doc:"WAL durability: $(b,always) (fsync every commit), \
-                   $(b,never), or a number N (fsync once per N records).")
+                   $(b,never), a number N (fsync once per N records), or a \
+                   group-commit window like $(b,5ms).")
   in
   let crash_after =
     Arg.(value & opt (some int) None & info [ "crash-after" ] ~docv:"K"
@@ -671,33 +649,7 @@ let stream_cmd =
         (fun a step metrics -> Jstar_obs.Alerts.eval a ~step metrics)
         alerts
     in
-    let p = Program.create () in
-    let tick_t =
-      Program.table p "Tick" ~columns:Schema.[ int_col "t" ]
-        ~orderby:Schema.[ Lit "Tick"; Seq "t" ]
-        ()
-    in
-    let reading =
-      Program.table p "Reading"
-        ~columns:Schema.[ int_col "t"; int_col "sensor"; int_col "value" ]
-        ~orderby:Schema.[ Lit "Reading"; Seq "t" ]
-        ()
-    in
-    let alarm =
-      Program.table p "Alarm"
-        ~columns:Schema.[ int_col "t"; int_col "sensor"; int_col "value" ]
-        ~orderby:Schema.[ Lit "Alarm"; Seq "t" ]
-        ()
-    in
-    Program.order p [ "Tick"; "Reading"; "Alarm" ];
-    Program.rule p "alarm" ~trigger:reading (fun ctx r ->
-        if Tuple.int r "value" >= 90 then
-          ctx.Rule.put
-            (Tuple.make alarm [| Tuple.get r 0; Tuple.get r 1; Tuple.get r 2 |]));
-    Program.output p alarm (fun t ->
-        Printf.sprintf "alarm t=%d sensor=%d value=%d" (Tuple.int t "t")
-          (Tuple.int t "sensor") (Tuple.int t "value"));
-    let frozen = Program.freeze p in
+    let frozen = Jstar_serve.Demo.sensor_program () in
     let config =
       apply_common ?alert_hook ~tracing ~trace_out ~metrics_out
         ~audit ~digest ~trace_sample
@@ -759,13 +711,7 @@ let stream_cmd =
           Format.pp_print_flush Fmt.stdout ();
           Some o
     in
-    let batch t =
-      Tuple.make tick_t [| Value.Int t |]
-      :: List.init sensors (fun s ->
-             Tuple.make reading
-               [| Value.Int t; Value.Int s;
-                  Value.Int (((t * 31) + (s * 17)) mod 100) |])
-    in
+    let batch t = Jstar_serve.Demo.batch frozen ~sensors ~t in
     let maybe_crash drains =
       match crash_after with
       | Some k when drains >= k ->
@@ -828,7 +774,8 @@ let stream_cmd =
           | Jstar_persist.Durable.Restored r ->
               (* resume after the last tick whose drain reached Gamma *)
               let next = ref 0 in
-              (Engine.session_gamma (Jstar_persist.Durable.session d) tick_t)
+              let tick = Program.find_table frozen.Program.program "Tick" in
+              (Engine.session_gamma (Jstar_persist.Durable.session d) tick)
                 .Store.iter (fun t -> next := max !next (Tuple.int t "t" + 1));
               Fmt.pr
                 "persist: restored generation %d from %s (replayed %d \

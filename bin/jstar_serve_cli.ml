@@ -22,34 +22,6 @@ let session_arg =
   let doc = "Session name, branch-style: $(b,proj/main)." in
   Arg.(value & opt string "proj/main" & info [ "s"; "session" ] ~docv:"NAME" ~doc)
 
-let fsync_conv =
-  let parse s =
-    match s with
-    | "always" -> Ok Jstar_persist.Wal.Always
-    | "never" -> Ok Jstar_persist.Wal.Never
-    | s when Filename.check_suffix s "ms" -> (
-        match int_of_string_opt (Filename.chop_suffix s "ms") with
-        | Some n when n > 0 -> Ok (Jstar_persist.Wal.Every_ms n)
-        | _ -> Error (`Msg "expected a positive window like 5ms"))
-    | s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> Ok (Jstar_persist.Wal.Every n)
-        | _ ->
-            Error
-              (`Msg
-                 "expected always, never, a positive record count, or a \
-                  window like 5ms"))
-  in
-  let print ppf p =
-    Format.pp_print_string ppf
-      (match p with
-      | Jstar_persist.Wal.Always -> "always"
-      | Jstar_persist.Wal.Never -> "never"
-      | Jstar_persist.Wal.Every n -> string_of_int n
-      | Jstar_persist.Wal.Every_ms n -> Printf.sprintf "%dms" n)
-  in
-  Arg.conv (parse, print)
-
 (* -- serve ------------------------------------------------------------- *)
 
 let serve_cmd =
@@ -90,7 +62,9 @@ let serve_cmd =
     in
     Arg.(
       value
-      & opt fsync_conv (Jstar_persist.Wal.Every_ms 5)
+      & opt
+          (conv' Jstar_persist.Wal.(fsync_policy_of_string, pp_fsync_policy))
+          (Jstar_persist.Wal.Every_ms 5)
       & info [ "fsync" ] ~docv:"POLICY" ~doc)
   in
   let threads =

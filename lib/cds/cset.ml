@@ -7,12 +7,6 @@ type 'a t = ('a, unit) Skiplist.t
 let create ~compare () = Skiplist.create ~compare ()
 let add t x = Skiplist.add t x ()
 
-let add_batch t xs =
-  (* Callers pass sorted batches so consecutive searches share their
-     upper-level descent path in cache; semantically this is just [add]
-     per element, first equal element winning. *)
-  Array.map (fun x -> Skiplist.add t x ()) xs
-
 let mem t x = Skiplist.mem t x
 let remove t x = Skiplist.remove t x
 let length t = Skiplist.length t

@@ -8,12 +8,6 @@ val create : compare:('a -> 'a -> int) -> unit -> 'a t
 val add : 'a t -> 'a -> bool
 (** [true] iff the element was absent and has been inserted. *)
 
-val add_batch : 'a t -> 'a array -> bool array
-(** Element-wise {!add} over the whole array; slot [i] is [true] iff
-    element [i] was newly inserted (of equal elements in one batch, the
-    first wins).  Best fed sorted input, so successive descents stay
-    cache-warm. *)
-
 val mem : 'a t -> 'a -> bool
 val remove : 'a t -> 'a -> bool
 val length : 'a t -> int

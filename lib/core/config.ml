@@ -33,13 +33,9 @@ type t = {
   tracing : Jstar_obs.Level.t;
       (* Off: zero-cost; Counters: metrics registry only; Spans: also
          record per-domain span rings for Chrome-trace export *)
-  trace_suppress : string list;
-      (* builtin span kinds (by name, e.g. "rule-fire") dropped even at
-         Spans level — the per-kind mask for rule-fire-heavy runs *)
   trace_sample : int;
-      (* 1-in-N sampling of unmasked span kinds at Spans level (1 =
-         record everything) — the finer-grained companion to
-         trace_suppress for rule-fire-heavy runs *)
+      (* 1-in-N sampling of each span kind at Spans level (1 = record
+         everything) — the one span filter, for rule-fire-heavy runs *)
   provenance : bool;
       (* record a lineage candidate per put into per-domain arenas,
          merged at step barriers into one deterministic derivation per
@@ -80,7 +76,6 @@ let default =
     grain = Auto_grain;
     max_steps = None;
     tracing = Jstar_obs.Level.Off;
-    trace_suppress = [];
     trace_sample = 1;
     provenance = false;
     audit_causality = false;
@@ -110,12 +105,6 @@ let validate t =
   (match t.grain with
   | Fixed g when g < 1 -> raise (Invalid "grain must be >= 1")
   | _ -> ());
-  List.iter
-    (fun name ->
-      match Jstar_obs.Kind.of_name name with
-      | Some _ -> ()
-      | None -> raise (Invalid ("unknown span kind in trace_suppress: " ^ name)))
-    t.trace_suppress;
   if t.trace_sample < 1 then raise (Invalid "trace_sample must be >= 1")
 
 (* The engine's one grain formula.  Adaptive: coarse enough that each

@@ -39,16 +39,11 @@ type t = {
   tracing : Jstar_obs.Level.t;
       (** [Off]: zero-cost; [Counters]: metrics registry only; [Spans]:
           also record per-domain span rings for Chrome-trace export *)
-  trace_suppress : string list;
-      (** builtin span kinds, by name (e.g. ["rule-fire"]), never
-          recorded even at [Spans] — the per-kind mask that keeps
-          step/extract spans while dropping per-task events on
-          rule-fire-heavy runs *)
   trace_sample : int;
-      (** record only every [N]-th span of each unmasked kind at
-          [Spans] level (per domain, per kind; 1 = record everything) —
-          finer-grained than [trace_suppress] when some per-task signal
-          should survive on rule-fire-heavy runs *)
+      (** record only every [N]-th span of each kind at [Spans] level
+          (per domain, per kind; 1 = record everything) — the one span
+          filter, for rule-fire-heavy runs; rare kinds keep their first
+          span of each window *)
   provenance : bool;
       (** capture tuple lineage: one candidate derivation record per
           put into per-domain arenas, merged at step barriers into a
@@ -104,8 +99,8 @@ exception Invalid of string
 
 val validate : t -> unit
 (** @raise Invalid for nonsensical combinations (0 threads, sequential
-    structures with a multi-threaded pool, grain < 1, unknown kind
-    names in [trace_suppress], [trace_sample < 1]). *)
+    structures with a multi-threaded pool, grain < 1,
+    [trace_sample < 1]). *)
 
 val resolve_grain : t -> workers:int -> n:int -> int
 (** The fork/join leaf size for [n] items on [workers] workers under

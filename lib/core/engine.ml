@@ -38,12 +38,6 @@
 exception Causality_violation of string
 exception Step_limit_exceeded of int
 
-type phase_times = {
-  mutable t_extract : float;
-  mutable t_gamma : float;
-  mutable t_rules : float;
-}
-
 type digest = {
   d_gamma : string;
       (* order-independent 128-bit hex digest of every stored tuple *)
@@ -65,7 +59,6 @@ type result = {
   delta_inserted : int;
   delta_deduped : int;
   stats : Table_stats.t;
-  phases : phase_times;
   tracer : Jstar_obs.Tracer.t;
   metrics : Jstar_obs.Metrics.t;
   lineage : Lineage.t option; (* Config.provenance *)
@@ -153,17 +146,12 @@ type state = {
   lanes_mutex : Mutex.t;
   current_ts : Timestamp.t option ref;
   processed : int ref;
-  phases : phase_times;
   obs : Jstar_obs.Tracer.t;
   metrics : Jstar_obs.Metrics.t;
   trace_spans : bool;
       (* [Tracer.spans_on obs], cached: recording sites test one
          immutable bool instead of chasing the tracer's level *)
   counters_on : bool; (* likewise [Tracer.counters_on obs] *)
-  trace_rule_fire : bool;
-      (* [Tracer.enabled obs Kind.rule_fire]: the per -noDelta firing
-         span kind, separately cached so the suppress mask can drop it
-         while step/extract spans stay on *)
   h_rule_latency : Jstar_obs.Metrics.histogram;
       (* seconds per -noDelta immediate firing *)
   h_class_width : Jstar_obs.Metrics.histogram; (* tuples per class *)
@@ -195,12 +183,12 @@ type state = {
          Phase B sorts each (rule, table) run by these fields so
          triggers probing the same join key run adjacently and the
          one-entry probe cursor hits *)
-  trace_batch_fire : bool; (* [Tracer.enabled obs Kind.batch_fire] *)
   h_batch_width : Jstar_obs.Metrics.histogram;
       (* triggers per (rule, table) run entering Phase B *)
   profiler : Jstar_obs.Profiler.t option;
       (* Config.profile: continuous per-rule/per-table cost attribution.
-         Firing sites bracket rule bodies with [fire_start]/[fire_stop];
+         Firing sites bracket rule bodies with [fire_start]/[fire_stop],
+         on the clock readings their spans use;
          [run_step] folds table/scheduler/GC deltas at its barrier.
          Purely observational: never read by evaluation, so digests and
          deterministic counters are bit-identical with it on or off *)
@@ -289,11 +277,7 @@ let make_state frozen config =
     match config.Config.tracing with
     | Jstar_obs.Level.Off -> Jstar_obs.Tracer.disabled
     | level ->
-        Jstar_obs.Tracer.create
-          ~suppress:
-            (List.filter_map Jstar_obs.Kind.of_name
-               config.Config.trace_suppress)
-          ~sample:config.Config.trace_sample ~level ()
+        Jstar_obs.Tracer.create ~sample:config.Config.trace_sample ~level ()
   in
   let metrics = Jstar_obs.Metrics.create () in
   let lineage =
@@ -378,12 +362,10 @@ let make_state frozen config =
     lanes_mutex = Mutex.create ();
     current_ts = ref None;
     processed = ref 0;
-    phases = { t_extract = 0.0; t_gamma = 0.0; t_rules = 0.0 };
     obs;
     metrics;
     trace_spans = Jstar_obs.Tracer.spans_on obs;
     counters_on = Jstar_obs.Tracer.counters_on obs;
-    trace_rule_fire = Jstar_obs.Tracer.enabled obs Jstar_obs.Kind.rule_fire;
     h_rule_latency =
       Jstar_obs.Metrics.histogram metrics ~name:"engine.rule_fire_latency_s";
     h_class_width =
@@ -398,7 +380,6 @@ let make_state frozen config =
     step_no = ref 0;
     probe_ok;
     rule_sort_pos;
-    trace_batch_fire = Jstar_obs.Tracer.enabled obs Jstar_obs.Kind.batch_fire;
     h_batch_width =
       Jstar_obs.Metrics.histogram metrics ~name:"engine.batch_width";
     profiler =
@@ -843,9 +824,11 @@ and fire_rules st ctx tuple =
         Table_stats.incr c.Table_stats.triggers;
         match st.profiler with
         | Some p ->
-            let p0 = Jstar_obs.Profiler.fire_start p in
+            let p0 = Jstar_obs.Monotonic.now_ns () in
+            Jstar_obs.Profiler.fire_start p;
             r.Rule.body ctx tuple;
-            Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid p0
+            Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid ~fires:1
+              ~ns:(Jstar_obs.Monotonic.now_ns () - p0)
         | None -> r.Rule.body ctx tuple
       in
       (if st.prov_or_audit then begin
@@ -861,7 +844,7 @@ and fire_rules st ctx tuple =
       if st.counters_on then begin
         let dur = Jstar_obs.Monotonic.now_ns () - t0 in
         Jstar_obs.Metrics.observe st.h_rule_latency (float_of_int dur *. 1e-9);
-        if st.trace_rule_fire then
+        if st.trace_spans then
           Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.rule_fire ~arg:id
             ~ts:t0 ~dur
       end
@@ -997,19 +980,17 @@ let make_ctx st =
    firing order is free under the law of causality, so none of this
    changes what any rule observes. *)
 
-(* Fire rule [r] for [chunk.(lo..hi-1)] as one unit. *)
+(* Fire rule [r] for [chunk.(lo..hi-1)] as one unit.  One profiler
+   frame covers the whole chunk, credited [hi - lo] firings: chunking
+   amortises the bracket the same way it amortises every other
+   per-firing fixed cost.  Nested immediate (-noDelta) firings inside
+   the chunk open their own frames, so they are excluded from this
+   rule's self time as usual.  The bracket and the batch-fire span
+   share one clock reading at each end, so the two sinks agree. *)
 let fire_chunk st ctx r id chunk lo hi =
-  let t0 = if st.trace_batch_fire then Jstar_obs.Monotonic.now_ns () else 0 in
-  (* One profiler frame for the whole chunk, credited [hi - lo] firings:
-     chunking amortises the bracket the same way it amortises every
-     other per-firing fixed cost.  Nested immediate (-noDelta) firings
-     inside the chunk open their own frames, so they are excluded from
-     this rule's self time as usual. *)
-  let p0 =
-    match st.profiler with
-    | Some p -> Jstar_obs.Profiler.fire_start p
-    | None -> 0
-  in
+  let timed = st.trace_spans || Option.is_some st.profiler in
+  let t0 = if timed then Jstar_obs.Monotonic.now_ns () else 0 in
+  Option.iter Jstar_obs.Profiler.fire_start st.profiler;
   in_unit st (fun () ->
       if st.prov_or_audit then
         in_frame (fun fr ->
@@ -1024,13 +1005,16 @@ let fire_chunk st ctx r id chunk lo hi =
         for i = lo to hi - 1 do
           r.Rule.body ctx chunk.(i)
         done);
-  (match st.profiler with
-  | Some p -> Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid ~fires:(hi - lo) p0
-  | None -> ());
-  if st.trace_batch_fire then
-    Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.batch_fire
-      ~arg:(hi - lo) ~ts:t0
-      ~dur:(Jstar_obs.Monotonic.now_ns () - t0)
+  if timed then begin
+    let ns = Jstar_obs.Monotonic.now_ns () - t0 in
+    (match st.profiler with
+    | Some p ->
+        Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid ~fires:(hi - lo) ~ns
+    | None -> ());
+    if st.trace_spans then
+      Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.batch_fire
+        ~arg:(hi - lo) ~ts:t0 ~dur:ns
+  end
 
 (* Chunk sort order: the rule's declared join-key fields of the trigger,
    tie-broken by total tuple order so the sort is deterministic. *)
@@ -1128,8 +1112,6 @@ let flush_step_outputs st =
       st.outputs := List.rev_append lines !(st.outputs);
       st.outputs_count := !(st.outputs_count) + List.length lines
 
-let now () = Unix.gettimeofday ()
-
 (* Drain the lineage arenas at a barrier (no rule task live). *)
 let merge_lineage st =
   match st.lineage with
@@ -1167,7 +1149,6 @@ let run_step st ctx tuples =
      else None);
   (* Phase A: the whole class becomes visible in Gamma. *)
   let gamma_t0 = if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0 in
-  let t0 = now () in
   let to_fire =
     (* A class usually comes from one table, and extraction emits each
        par-subtree's leaf contiguously, so the class is already grouped
@@ -1220,16 +1201,13 @@ let run_step st ctx tuples =
     done;
     Array.of_list (List.rev !fired)
   in
-  st.phases.t_gamma <- st.phases.t_gamma +. (now () -. t0);
   if st.trace_spans then
     Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.gamma_insert ~arg:n
       ~ts:gamma_t0
       ~dur:(Jstar_obs.Monotonic.now_ns () - gamma_t0);
   run_class_effects st ctx tuples;
   (* Phase B: fire all rules of the class, chunked by [Config.grain]. *)
-  let t1 = now () in
   fire_rules_batch st ctx to_fire;
-  st.phases.t_rules <- st.phases.t_rules +. (now () -. t1);
   (* Barrier: every unit has flushed, so everything the class put is
      pending before the next class is extracted. *)
   flush_step_outputs st;
@@ -1325,7 +1303,7 @@ type session = {
   ctx : Rule.ctx;
   mutable session_steps : int;
   mutable outputs_seen : int;
-  mutable busy : float; (* wall seconds spent inside [feed] and [drain] *)
+  mutable busy_ns : int; (* time spent inside [feed] and [drain] *)
   mutable finished : bool;
 }
 
@@ -1336,33 +1314,28 @@ let start frozen config =
     ctx = make_ctx st;
     session_steps = 0;
     outputs_seen = 0;
-    busy = 0.0;
+    busy_ns = 0;
     finished = false;
   }
 
 let feed session tuples =
   if session.finished then invalid_arg "Engine.feed: session finished";
-  let t0 = now () in
+  let t0 = Jstar_obs.Monotonic.now_ns () in
   (* One unit per call: the feed's puts reach Delta when it returns. *)
   in_unit session.st (fun () ->
       List.iter (route_put session.st session.ctx) tuples);
-  session.busy <- session.busy +. (now () -. t0)
+  session.busy_ns <- session.busy_ns + (Jstar_obs.Monotonic.now_ns () - t0)
 
 (* The engine's one extraction loop: remove the minimal class from
    Delta and run it as a step, until Delta is empty. *)
 let drain session =
   if session.finished then invalid_arg "Engine.drain: session finished";
   let st = session.st in
-  let t_start = now () in
-  let drain_t0 =
-    if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0
-  in
+  let t_start = Jstar_obs.Monotonic.now_ns () in
   flush_step_outputs st;
   let rec loop () =
     let e0 = if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0 in
-    let t0 = now () in
     let klass = Delta.extract_min_class st.delta in
-    st.phases.t_extract <- st.phases.t_extract +. (now () -. t0);
     if st.trace_spans then
       Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.extract
         ~arg:(List.length klass) ~ts:e0
@@ -1382,10 +1355,6 @@ let drain session =
   (* Quiescent: the run is over, see [audit_put]. *)
   st.current_ts := None;
   merge_lineage st;
-  if st.trace_spans then
-    Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.drain
-      ~arg:session.session_steps ~ts:drain_t0
-      ~dur:(Jstar_obs.Monotonic.now_ns () - drain_t0);
   (* [outputs] is newest-first and [outputs_count] tracks its length, so
      the lines produced since the last drain are exactly its first
      [count - seen] elements — no full-list [length]/[filteri] rescan
@@ -1403,7 +1372,12 @@ let drain session =
       ("outputs", Jstar_obs.Json.Num (float_of_int fresh_n));
       ("processed", Jstar_obs.Json.Num (float_of_int !(st.processed)));
     ];
-  session.busy <- session.busy +. (now () -. t_start);
+  (* One reading closes the drain span and the session's busy time. *)
+  let dur = Jstar_obs.Monotonic.now_ns () - t_start in
+  if st.trace_spans then
+    Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.drain
+      ~arg:session.session_steps ~ts:t_start ~dur;
+  session.busy_ns <- session.busy_ns + dur;
   fresh
 
 let session_gamma session schema =
@@ -1438,11 +1412,10 @@ let finish session =
     outputs = List.rev !(st.outputs);
     steps = session.session_steps;
     tuples_processed = !(st.processed);
-    elapsed = session.busy;
+    elapsed = float_of_int session.busy_ns *. 1e-9;
     delta_inserted = Delta.inserted_total st.delta;
     delta_deduped = Delta.deduped_total st.delta;
     stats = st.stats;
-    phases = st.phases;
     tracer = st.obs;
     metrics = st.metrics;
     lineage = st.lineage;

@@ -27,12 +27,6 @@ exception Causality_violation of string
 exception Step_limit_exceeded of int
 (** Raised when [max_steps] is configured and exceeded. *)
 
-type phase_times = {
-  mutable t_extract : float;  (** seconds spent extracting from Delta *)
-  mutable t_gamma : float;  (** seconds inserting classes into Gamma *)
-  mutable t_rules : float;  (** seconds firing rules *)
-}
-
 type digest = {
   d_gamma : string;
       (** 128-bit hex digest of every stored tuple at quiescence,
@@ -57,11 +51,11 @@ type result = {
   steps : int;  (** number of equivalence classes executed *)
   tuples_processed : int;
   elapsed : float;
-      (** wall-clock seconds spent inside {!feed} and {!drain} *)
+      (** seconds spent inside {!feed} and {!drain}, on
+          {!Jstar_obs.Monotonic}; the tracer's spans split them *)
   delta_inserted : int;
   delta_deduped : int;
   stats : Table_stats.t;
-  phases : phase_times;
   tracer : Jstar_obs.Tracer.t;
       (** the run's span rings ({!Jstar_obs.Tracer.disabled} when
           [tracing = Off]); export with {!Jstar_obs.Export} *)

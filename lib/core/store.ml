@@ -133,11 +133,11 @@ let tree schema =
 
 let skiplist schema =
   let set = Jstar_cds.Cset.create ~compare:(tuple_cmp schema) () in
+  let insert t = Jstar_cds.Cset.add set t in
   {
     kind = "skiplist";
-    insert = (fun t -> Jstar_cds.Cset.add set t);
-    insert_batch =
-      (fun arr lo hi -> Jstar_cds.Cset.add_batch set (Array.sub arr lo (hi - lo)));
+    insert;
+    insert_batch = seq_batch insert;
     mem = (fun t -> Jstar_cds.Cset.mem set t);
     iter_prefix =
       (fun prefix f ->

@@ -52,7 +52,7 @@ let run ?(options = default_options) ~init ~producer ~consumer () =
             Ring_buffer.consume ring own (fun ev _seq _eob -> consumer i ev)))
       consumer_seqs
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Jstar_obs.Monotonic.now_ns () in
   (* Batched publication: claim [batch] slots at a time, publish when the
      claimed range is exhausted, flush the remainder at the end. *)
   let published = ref 0 in
@@ -73,11 +73,10 @@ let run ?(options = default_options) ~init ~producer ~consumer () =
   in
   producer ~emit;
   flush ();
-  let t1 = Unix.gettimeofday () in
+  let elapsed_producer = Jstar_obs.Monotonic.since_s t0 in
   List.iter Domain.join domains;
-  let t2 = Unix.gettimeofday () in
   {
     published = !published;
-    elapsed_producer = t1 -. t0;
-    elapsed_total = t2 -. t0;
+    elapsed_producer;
+    elapsed_total = Jstar_obs.Monotonic.since_s t0;
   }

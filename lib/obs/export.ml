@@ -5,8 +5,8 @@
      balanced B/E duration pairs, instants as 'i' events;
    - CSV metrics dump (delegates to Metrics.to_csv);
    - a console reporter: the per-kind span breakdown with percentages
-     (what Phase_timer.pp used to print for bench phases) followed by
-     the metrics snapshot (which covers Table_stats.pp_snapshot once
+     (the §6.3 phase split of bench sec63) followed by the metrics
+     snapshot (which covers Table_stats.pp_snapshot once
      the engine registers its per-table counters). *)
 
 (* -- Chrome trace ---------------------------------------------------- *)

@@ -15,5 +15,5 @@ val write_metrics_csv : string -> Metrics.t -> unit
 
 val console : Format.formatter -> ?metrics:Metrics.t -> Tracer.t -> unit
 (** Pretty report: per-kind span breakdown with percentages, then the
-    metrics snapshot — the unified successor of [Phase_timer.pp] and
-    [Table_stats.pp_snapshot]. *)
+    metrics snapshot — bench phase splits and [Table_stats.pp_snapshot]
+    alike. *)

@@ -36,13 +36,5 @@ let builtin_names =
 let builtin_name k =
   if k >= 0 && k < builtin_count then Some builtin_names.(k) else None
 
-let of_name name =
-  let rec go k =
-    if k >= builtin_count then None
-    else if String.equal builtin_names.(k) name then Some k
-    else go (k + 1)
-  in
-  go 0
-
 let to_int k = k
 let custom i = builtin_count + i

@@ -36,10 +36,6 @@ val batch_fire : t
 val builtin_count : int
 val builtin_name : int -> string option
 
-val of_name : string -> t option
-(** Inverse of {!builtin_name} over the builtin set (used to parse
-    user-facing suppress lists); [None] for custom kind names. *)
-
 val to_int : t -> int
 
 val custom : int -> t

@@ -1,17 +1,16 @@
-(* The tracer's clock: integer nanoseconds since process start.
+(* The process clock: integer nanoseconds of CLOCK_MONOTONIC since
+   start-up.
 
    Integer timestamps keep the span hot path allocation-free (an OCaml
    [int] is immediate; a [float] result would be boxed) and give the
-   exporters exact arithmetic.  The source is [Unix.gettimeofday]
-   anchored at module initialisation — the stdlib exposes no
-   CLOCK_MONOTONIC and we take no external clock dependency — so the
-   clock is monotonic up to NTP slew, which is far below the
-   microsecond granularity Chrome-trace viewers display.  [now_ns] is
-   clamped to be non-decreasing against the anchor so a backwards step
-   can never produce a negative timestamp. *)
+   exporters exact arithmetic.  The source is bechamel's
+   [clock_gettime(CLOCK_MONOTONIC)] stub, declared [noalloc] with an
+   unboxed result, so a read allocates nothing.  The clock never steps
+   backwards, so intervals and deadlines survive a wall-clock change;
+   anchoring at module initialisation keeps timestamps small and
+   non-negative. *)
 
-let epoch = Unix.gettimeofday ()
-
-let now_ns () =
-  let dt = Unix.gettimeofday () -. epoch in
-  if dt <= 0.0 then 0 else int_of_float (dt *. 1e9)
+let raw () = Int64.to_int (Monotonic_clock.clock_linux_get_time ())
+let epoch = raw ()
+let now_ns () = raw () - epoch
+let since_s t0 = float_of_int (now_ns () - t0) *. 1e-9

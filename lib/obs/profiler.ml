@@ -5,13 +5,15 @@
 
    - The {e rule lane} (Phase B) is fed from the firing hot path:
      [fire_start]/[fire_stop] bracket each firing (or each batched
-     chunk), timing wall time and maintaining a per-domain frame stack
-     so a rule's *self* time excludes the nested firings its puts
-     trigger on the immediate path.  Counts and sampled nanoseconds go
-     to striped plain-int arrays — no atomics; two domains hashing to
-     one stripe can lose an update, which is acceptable for a
-     monitoring lane and impossible for the deterministic engine
-     counters, which live elsewhere (Table_stats) and are untouched.
+     chunk), maintaining a per-domain frame stack so a rule's *self*
+     time excludes the nested firings its puts trigger on the immediate
+     path.  The caller reads {!Monotonic} at each end of the bracket
+     and hands the interval over, so a span of the same interval
+     records the same nanoseconds.  Counts and nanoseconds go to
+     striped plain-int arrays — no atomics; two domains hashing to one
+     stripe can lose an update, which is acceptable for a monitoring
+     lane and impossible for the deterministic engine counters, which
+     live elsewhere (Table_stats) and are untouched.
 
    - The {e table lane} (Phase A) costs nothing on the hot path: at
      each step barrier the engine folds the deltas of its existing
@@ -29,10 +31,8 @@
    evaluation order, digests, or any deterministic counter. *)
 
 type stripe = {
-  s_fires : int array; (* firings per rule, sampled or not *)
-  s_timed : int array; (* firings that were actually timed *)
-  s_self_ns : int array; (* self wall time of timed firings *)
-  mutable s_tick : int; (* rotating sampling decision *)
+  s_fires : int array; (* firings per rule *)
+  s_self_ns : int array; (* self time of those firings *)
 }
 
 type sched_totals = {
@@ -45,10 +45,7 @@ type sched_totals = {
 type t = {
   rules : string array; (* by rule id *)
   tables : string array; (* by table id *)
-  stripes : stripe array; (* length a power of two *)
-  stripe_mask : int;
-  decay : float; (* EMA retention per step *)
-  sample : int; (* time 1 in [sample] firings *)
+  stripes : stripe array; (* [nstripes] of them *)
   workers : int; (* pool width for utilization *)
   (* Barrier-owned state below: written only by [step_barrier] and the
      snapshot readers, which run on the driving domain / a monitoring
@@ -82,27 +79,19 @@ let alloc_words_now () =
   let minor, promoted, major = Gc.counters () in
   minor +. major -. promoted
 
-let create ?(stripes = 8) ?(decay = 0.98) ?(sample = 1) ?(workers = 1)
-    ~rules ~tables () =
-  if decay < 0.0 || decay >= 1.0 then invalid_arg "Profiler.create: decay";
-  if sample < 1 then invalid_arg "Profiler.create: sample";
-  let rec pow2 n = if n >= stripes then n else pow2 (n * 2) in
-  let nstripes = pow2 1 in
+(* Hot-path stripes (a power of two, picked by domain id) and the EMA
+   retention per step. *)
+let nstripes = 8
+let decay = 0.98
+
+let create ?(workers = 1) ~rules ~tables () =
   let nr = Array.length rules and nt = Array.length tables in
   {
     rules;
     tables;
     stripes =
       Array.init nstripes (fun _ ->
-          {
-            s_fires = Array.make nr 0;
-            s_timed = Array.make nr 0;
-            s_self_ns = Array.make nr 0;
-            s_tick = 0;
-          });
-    stripe_mask = nstripes - 1;
-    decay;
-    sample;
+          { s_fires = Array.make nr 0; s_self_ns = Array.make nr 0 });
     workers = max 1 workers;
     steps = 0;
     last_barrier_ns = Monotonic.now_ns ();
@@ -126,16 +115,16 @@ let create ?(stripes = 8) ?(decay = 0.98) ?(sample = 1) ?(workers = 1)
 
 (* -- hot path -------------------------------------------------------- *)
 
-(* Per-domain frame stack for self-time: frame [d] accumulates the wall
-   time of the timed firings nested directly under depth [d]. *)
+(* Per-domain frame stack for self-time: frame [d] accumulates the
+   time of the firings nested directly under depth [d]. *)
 type frames = { mutable depth : int; mutable child_ns : int array }
 
 let frames_key =
   Domain.DLS.new_key (fun () -> { depth = 0; child_ns = Array.make 32 0 })
 
-let my_stripe t = (Domain.self () :> int) land t.stripe_mask
+let my_stripe t = t.stripes.((Domain.self () :> int) land (nstripes - 1))
 
-let push_frame () =
+let fire_start (_ : t) =
   let fs = Domain.DLS.get frames_key in
   if fs.depth >= Array.length fs.child_ns then begin
     let bigger = Array.make (2 * Array.length fs.child_ns) 0 in
@@ -143,72 +132,40 @@ let push_frame () =
     fs.child_ns <- bigger
   end;
   fs.child_ns.(fs.depth) <- 0;
-  fs.depth <- fs.depth + 1;
-  Monotonic.now_ns ()
+  fs.depth <- fs.depth + 1
 
-(* [fire_start] returns the start timestamp, or 0 for a firing that is
-   counted but not timed (sampled out).  With the default [sample = 1]
-   every firing is timed and self-times are exact; with sampling, an
-   untimed child's wall time is charged to its timed parent's self —
-   the documented approximation that buys a cheaper hot path. *)
-let fire_start t =
-  if t.sample = 1 then push_frame ()
-  else begin
-    let s = t.stripes.(my_stripe t) in
-    let tick = s.s_tick in
-    s.s_tick <- tick + 1;
-    if tick mod t.sample <> 0 then 0 else push_frame ()
-  end
-
-let fire_stop t ~rule ?(fires = 1) t0 =
-  let s = t.stripes.(my_stripe t) in
+let fire_stop t ~rule ~fires ~ns =
+  let s = my_stripe t in
   s.s_fires.(rule) <- s.s_fires.(rule) + fires;
-  if t0 <> 0 then begin
-    let now = Monotonic.now_ns () in
-    let dur = now - t0 in
-    let fs = Domain.DLS.get frames_key in
-    fs.depth <- fs.depth - 1;
-    let self = dur - fs.child_ns.(fs.depth) in
-    if fs.depth > 0 then
-      fs.child_ns.(fs.depth - 1) <- fs.child_ns.(fs.depth - 1) + dur;
-    s.s_timed.(rule) <- s.s_timed.(rule) + fires;
-    s.s_self_ns.(rule) <- s.s_self_ns.(rule) + max 0 self
-  end
+  let fs = Domain.DLS.get frames_key in
+  fs.depth <- fs.depth - 1;
+  let self = ns - fs.child_ns.(fs.depth) in
+  if fs.depth > 0 then
+    fs.child_ns.(fs.depth - 1) <- fs.child_ns.(fs.depth - 1) + ns;
+  s.s_self_ns.(rule) <- s.s_self_ns.(rule) + max 0 self
 
 (* -- folds ----------------------------------------------------------- *)
 
 let fold_rules t =
   let nr = Array.length t.rules in
-  let fires = Array.make nr 0
-  and timed = Array.make nr 0
-  and self_ns = Array.make nr 0 in
+  let fires = Array.make nr 0 and self_ns = Array.make nr 0 in
   Array.iter
     (fun s ->
       for r = 0 to nr - 1 do
         fires.(r) <- fires.(r) + s.s_fires.(r);
-        timed.(r) <- timed.(r) + s.s_timed.(r);
         self_ns.(r) <- self_ns.(r) + s.s_self_ns.(r)
       done)
     t.stripes;
-  (fires, timed, self_ns)
-
-(* Scale sampled self time up to the full firing count, so sampled and
-   unsampled profiles read in the same units. *)
-let scaled_self ~fires ~timed ~self_ns =
-  if timed = 0 then 0.0
-  else if timed = fires then float_of_int self_ns
-  else float_of_int self_ns *. (float_of_int fires /. float_of_int timed)
+  (fires, self_ns)
 
 let step_barrier t ~puts ~queries ~gamma ?sched () =
   let now = Monotonic.now_ns () in
   let wall = max 1 (now - t.last_barrier_ns) in
   t.last_barrier_ns <- now;
   t.steps <- t.steps + 1;
-  let d = t.decay in
-  let ema prev delta = (d *. prev) +. ((1.0 -. d) *. delta) in
+  let ema prev delta = (decay *. prev) +. ((1.0 -. decay) *. delta) in
   (* rule lane *)
-  let fires, timed, self_ns = fold_rules t in
-  ignore timed;
+  let fires, self_ns = fold_rules t in
   for r = 0 to Array.length t.rules - 1 do
     let dself = self_ns.(r) - t.prev_self_ns.(r) in
     t.prev_self_ns.(r) <- self_ns.(r);
@@ -252,7 +209,7 @@ type rule_row = {
   pr_id : int;
   pr_name : string;
   pr_fires : int;
-  pr_self_s : float; (* cumulative, sampling-scaled *)
+  pr_self_s : float; (* cumulative *)
   pr_ema_self_s : float; (* decayed self seconds per step *)
 }
 
@@ -283,16 +240,14 @@ type gc_row = {
 let steps t = t.steps
 
 let rules t =
-  let fires, timed, self_ns = fold_rules t in
+  let fires, self_ns = fold_rules t in
   Array.mapi
     (fun r name ->
       {
         pr_id = r;
         pr_name = name;
         pr_fires = fires.(r);
-        pr_self_s =
-          scaled_self ~fires:fires.(r) ~timed:timed.(r) ~self_ns:self_ns.(r)
-          *. 1e-9;
+        pr_self_s = float_of_int self_ns.(r) *. 1e-9;
         pr_ema_self_s = t.ema_self_ns.(r) *. 1e-9;
       })
     t.rules
@@ -374,8 +329,7 @@ let to_json ?(k = 10) t =
   let base =
     [
       ("steps", Num (float_of_int t.steps));
-      ("decay", Num t.decay);
-      ("sample", Num (float_of_int t.sample));
+      ("decay", Num decay);
       ("deterministic", Bool false);
       ("top_rules", Arr (List.map rule_j (top_rules ~k t)));
       ("tables", Arr (List.map table_j (Array.to_list (tables t))));

@@ -1,8 +1,9 @@
 (** Continuous per-rule / per-table profiler for a live engine.
 
     Rule self-times come from [fire_start]/[fire_stop] brackets around
-    each firing (striped plain-int counters, per-domain frame stacks so
-    nested immediate firings are excluded from a parent's self time);
+    each firing, timed by the caller on {!Monotonic} (striped plain-int
+    counters, per-domain frame stacks so nested immediate firings are
+    excluded from a parent's self time);
     per-table put/query rates and Gamma sizes are folded in for free at
     each step barrier from the engine's existing deterministic
     counters.  [step_barrier] turns the deltas into exponentially
@@ -30,33 +31,24 @@ type sched_totals = {
     sched → obs). *)
 
 val create :
-  ?stripes:int ->
-  ?decay:float ->
-  ?sample:int ->
-  ?workers:int ->
-  rules:string array ->
-  tables:string array ->
-  unit ->
-  t
+  ?workers:int -> rules:string array -> tables:string array -> unit -> t
 (** [create ~rules ~tables ()] sizes the profiler for rule ids
-    [0 .. Array.length rules - 1] and likewise for tables.  [stripes]
-    (default 8, rounded up to a power of two) bounds hot-path
-    contention; [decay] (default 0.98) is the per-step EMA retention;
-    [sample] (default 1 = time everything) times one in [sample]
-    firings, scaling self-times back up at read time; [workers] is the
-    pool width used for utilization. *)
+    [0 .. Array.length rules - 1] and likewise for tables; [workers] is
+    the pool width used for utilization.  Aggregates decay by 0.98 per
+    step. *)
 
 (** {1 Hot path} *)
 
-val fire_start : t -> int
-(** Open a firing frame; returns the start timestamp, or [0] when this
-    firing is sampled out (then [fire_stop] only counts it). *)
+val fire_start : t -> unit
+(** Open a firing frame on the calling domain. *)
 
-val fire_stop : t -> rule:int -> ?fires:int -> int -> unit
-(** [fire_stop t ~rule ~fires t0] closes the frame opened by
-    [fire_start]: credits [fires] firings (default 1 — batched chunks
-    pass the chunk width) and, when [t0 <> 0], the bracket's wall time
-    minus nested timed firings to [rule]'s self time. *)
+val fire_stop : t -> rule:int -> fires:int -> ns:int -> unit
+(** [fire_stop t ~rule ~fires ~ns] closes the frame opened by
+    [fire_start]: credits [fires] firings (a batched chunk passes its
+    width) and the bracket's [ns] nanoseconds, minus nested brackets,
+    to [rule]'s self time.  The caller reads {!Monotonic.now_ns} at
+    each end of the bracket, so a span recorded over the same readings
+    agrees to the nanosecond. *)
 
 (** {1 Barrier fold} *)
 
@@ -79,7 +71,7 @@ type rule_row = {
   pr_id : int;
   pr_name : string;
   pr_fires : int;
-  pr_self_s : float;  (** cumulative self seconds, sampling-scaled *)
+  pr_self_s : float;  (** cumulative self seconds *)
   pr_ema_self_s : float;  (** decayed self seconds per step *)
 }
 

@@ -20,13 +20,9 @@ type t = {
   level : Level.t;
   capacity : int;
   sample : int;
-      (* record every [sample]-th event of each unmasked kind, per
-         domain (1 = everything).  The counters live next to the ring
-         in DLS, so the sampled path stays lock-free. *)
-  mutable suppress_mask : int;
-      (* bit [k] set = kind [k] not recorded even at Spans level.  Only
-         kinds < 62 are maskable; custom kinds past the word run
-         unmasked (no builtin comes close). *)
+      (* record every [sample]-th event of each kind, per domain (1 =
+         everything): the one span filter.  The counters live next to
+         the ring in DLS, so the sampled path stays lock-free. *)
   mutable rings : Ring.t list; (* registration order, newest first *)
   mutable custom : string list; (* registered kind names, newest first *)
   mutable n_custom : int;
@@ -35,20 +31,13 @@ type t = {
 
 let next_id = Atomic.make 0
 
-let mask_bit k =
-  let k = Kind.to_int k in
-  if k < 62 then 1 lsl k else 0
-
-let mask_of kinds = List.fold_left (fun m k -> m lor mask_bit k) 0 kinds
-
-let create ?(capacity = 1 lsl 16) ?(suppress = []) ?(sample = 1) ~level () =
+let create ?(capacity = 1 lsl 16) ?(sample = 1) ~level () =
   if sample < 1 then invalid_arg "Tracer.create: sample must be >= 1";
   {
     id = Atomic.fetch_and_add next_id 1;
     level;
     capacity;
     sample;
-    suppress_mask = mask_of suppress;
     rings = [];
     custom = [];
     n_custom = 0;
@@ -59,9 +48,6 @@ let disabled = create ~capacity:2 ~level:Level.Off ()
 let level t = t.level
 let spans_on t = Level.spans_on t.level
 let counters_on t = Level.counters_on t.level
-let set_suppressed t kinds = t.suppress_mask <- mask_of kinds
-let suppressed t k = t.suppress_mask land mask_bit k <> 0
-let enabled t k = Level.spans_on t.level && not (suppressed t k)
 
 (* Most-recently-used cache of this domain's (ring, sample counters)
    pairs, across tracers.  The counter array has one slot per kind
@@ -117,7 +103,7 @@ let sample_hit t e kind =
   c = 1
 
 let instant t ?(arg = 0) kind =
-  if enabled t kind then begin
+  if Level.spans_on t.level then begin
     let e = entry_for t in
     if sample_hit t e kind then
       Ring.record e.e_ring ~kind:(Kind.to_int kind) ~ts:(Monotonic.now_ns ())
@@ -127,7 +113,7 @@ let instant t ?(arg = 0) kind =
 let start t = if Level.spans_on t.level then Monotonic.now_ns () else 0
 
 let stop t ?(arg = 0) kind t0 =
-  if enabled t kind then begin
+  if Level.spans_on t.level then begin
     let e = entry_for t in
     if sample_hit t e kind then
       Ring.record e.e_ring ~kind:(Kind.to_int kind) ~ts:t0
@@ -136,14 +122,14 @@ let stop t ?(arg = 0) kind t0 =
   end
 
 let record_span t ?(arg = 0) kind ~ts ~dur =
-  if enabled t kind then begin
+  if Level.spans_on t.level then begin
     let e = entry_for t in
     if sample_hit t e kind then
       Ring.record e.e_ring ~kind:(Kind.to_int kind) ~ts ~dur ~arg
   end
 
 let span t ?arg kind f =
-  if enabled t kind then begin
+  if Level.spans_on t.level then begin
     let t0 = Monotonic.now_ns () in
     Fun.protect f ~finally:(fun () -> stop t ?arg kind t0)
   end

@@ -8,20 +8,11 @@
 
 type t
 
-val create :
-  ?capacity:int ->
-  ?suppress:Kind.t list ->
-  ?sample:int ->
-  level:Level.t ->
-  unit ->
-  t
+val create : ?capacity:int -> ?sample:int -> level:Level.t -> unit -> t
 (** [capacity] is events per domain ring (default 65536, rounded up to
-    a power of two).  [suppress] lists kinds that are never recorded
-    even at [Spans] level — the per-kind enable mask that lets a
-    rule-fire-heavy run keep [step]/[extract] spans while dropping the
-    per-task [rule_fire] events.  [sample] (default 1) records only
-    every [N]-th event of each unmasked kind, per domain — the first
-    event of each window is kept, so rare kinds still appear.
+    a power of two).  [sample] (default 1) records only every [N]-th
+    event of each kind, per domain — the first event of each window is
+    kept, so rare kinds still appear.  It is the tracer's one filter.
     @raise Invalid_argument when [sample < 1]. *)
 
 val disabled : t
@@ -31,16 +22,6 @@ val disabled : t
 val level : t -> Level.t
 val spans_on : t -> bool
 val counters_on : t -> bool
-
-val set_suppressed : t -> Kind.t list -> unit
-(** Replace the suppress mask.  Not synchronized with recorders: meant
-    for quiescent points (before a run, at a barrier). *)
-
-val suppressed : t -> Kind.t -> bool
-
-val enabled : t -> Kind.t -> bool
-(** [spans_on t && not (suppressed t k)] — hot sites cache this per
-    kind instead of re-testing the mask per event. *)
 
 (** {1 Recording} *)
 

@@ -12,9 +12,9 @@
    thread: every endpoint renders from in-memory state in microseconds,
    and serial handling means a scrape can never pile up threads behind
    a slow client.  Slow clients are bounded twice over: SO_RCVTIMEO
-   caps each read, and a wall-clock deadline caps the whole request —
+   caps each read, and a monotonic deadline caps the whole request —
    a trickler that defeats the per-read timeout one byte at a time is
-   cut off at [request_deadline_s] and cannot starve /metrics for the
+   cut off at [request_deadline_ns] and cannot starve /metrics for the
    other connections.
 
    Keep-alive framing discipline: a request whose framing we cannot
@@ -58,11 +58,12 @@ let head_cap = 16384
 let body_cap = 1 lsl 20
 let max_conns = 32
 
-(* Total wall-clock budget for reading one request (head + body).
-   SO_RCVTIMEO bounds each *read* to 2 s, but a client trickling one
-   byte per read would reset that clock forever and park the whole
-   single-threaded ops plane behind it — the deadline bounds the sum. *)
-let request_deadline_s = 10.0
+(* Total budget for reading one request (head + body), on the
+   monotonic clock.  SO_RCVTIMEO bounds each *read* to 2 s, but a
+   client trickling one byte per read would reset that clock forever
+   and park the whole single-threaded ops plane behind it — the
+   deadline bounds the sum. *)
+let request_deadline_ns = 10_000_000_000
 
 let reason = function
   | 200 -> "OK"
@@ -176,7 +177,7 @@ let read_until c ~deadline ~cap pred =
     if
       pred (Buffer.contents buf)
       || Buffer.length buf >= cap
-      || Unix.gettimeofday () > deadline
+      || Jstar_obs.Monotonic.now_ns () > deadline
     then Buffer.contents buf
     else
       match Unix.read c.fd chunk 0 (Bytes.length chunk) with
@@ -213,7 +214,7 @@ let serve_one routes c =
   (* One budget for the whole request: the clock starts when select
      said bytes were ready, so an idle keep-alive connection is never
      charged — only a connection mid-request. *)
-  let deadline = Unix.gettimeofday () +. request_deadline_s in
+  let deadline = Jstar_obs.Monotonic.now_ns () + request_deadline_ns in
   let head =
     read_until c ~deadline ~cap:head_cap (fun s -> find_terminator s <> None)
   in

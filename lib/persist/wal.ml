@@ -12,6 +12,27 @@ let header_len = String.length magic + 4 + 4 (* magic, version, schema hash *)
 
 type fsync_policy = Always | Every of int | Every_ms of int | Never
 
+let fsync_policy_of_string = function
+  | "always" -> Ok Always
+  | "never" -> Ok Never
+  | s when Filename.check_suffix s "ms" -> (
+      match int_of_string_opt (Filename.chop_suffix s "ms") with
+      | Some n when n > 0 -> Ok (Every_ms n)
+      | _ -> Error "expected a positive window like 5ms")
+  | s -> (
+      match int_of_string_opt s with
+      | Some n when n > 0 -> Ok (Every n)
+      | _ ->
+          Error
+            "expected always, never, a positive record count, or a window \
+             like 5ms")
+
+let pp_fsync_policy ppf = function
+  | Always -> Format.pp_print_string ppf "always"
+  | Never -> Format.pp_print_string ppf "never"
+  | Every n -> Format.fprintf ppf "%d" n
+  | Every_ms n -> Format.fprintf ppf "%dms" n
+
 type watermark = {
   wm_step_no : int;
   wm_steps : int;

@@ -21,13 +21,22 @@ type fsync_policy =
   | Every of int  (** fsync once per [n] records — bounded loss window *)
   | Every_ms of int
       (** group-commit window: a commit fsyncs only when [n]
-          milliseconds have passed since this log's last sync, so the
-          commits inside a window share the next one.  That sync runs
+          milliseconds have passed since this log's last sync, measured
+          on CLOCK_MONOTONIC ({!Jstar_obs.Monotonic}), so a step of the
+          wall clock neither stretches nor shortens a window.  The
+          commits inside a window share the next sync.  That sync runs
           inside a later commit, never on a timer: an idle log's last
           commits stay unsynced until its next commit, {!sync} or
           {!close} (a checkpoint or session close), so the loss window
           is bounded in time only while commits keep arriving *)
   | Never  (** leave durability to the OS page cache *)
+
+val fsync_policy_of_string : string -> (fsync_policy, string) result
+(** The command-line spelling: [always], [never], a record count [N]
+    ({!Every}) or a window [Nms] ({!Every_ms}), [N > 0]. *)
+
+val pp_fsync_policy : Format.formatter -> fsync_policy -> unit
+(** Prints the spelling {!fsync_policy_of_string} reads. *)
 
 type watermark = {
   wm_step_no : int;

@@ -1,7 +1,6 @@
-(* The sensor stream program shared by jstar-serve, its bench, tests
-   and README walkthrough — the same Tick/Reading/Alarm shape as
-   jstar-demo's stream command, so serve digests are directly
-   comparable with standalone runs. *)
+(* The sensor stream program shared by jstar-serve, jstar-demo's
+   stream command, the serve bench, tests and README walkthrough, so
+   serve digests are directly comparable with standalone runs. *)
 
 open Jstar_core
 
@@ -35,13 +34,7 @@ let sensor_program () =
   Program.freeze p
 
 let batch frozen ~sensors ~t =
-  let table name =
-    let found = ref None in
-    Array.iter
-      (fun s -> if s.Schema.name = name then found := Some s)
-      frozen.Program.tables;
-    Option.get !found
-  in
+  let table = Program.find_table frozen.Program.program in
   let tick = table "Tick" and reading = table "Reading" in
   Tuple.make tick [| Value.Int t |]
   :: List.init sensors (fun s ->

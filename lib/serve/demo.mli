@@ -1,7 +1,6 @@
-(** The sensor stream program shared by the jstar-serve binary, bench,
-    tests and README walkthrough — the same Tick/Reading/Alarm shape as
-    [jstar-demo stream], so serve digests are directly comparable with
-    standalone runs. *)
+(** The sensor stream program shared by the jstar-serve binary,
+    [jstar-demo stream], the serve bench, tests and README walkthrough,
+    so serve digests are directly comparable with standalone runs. *)
 
 val sensor_program : unit -> Jstar_core.Program.frozen
 

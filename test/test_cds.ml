@@ -254,17 +254,6 @@ let test_cset_basics () =
   Alcotest.(check bool) "remove" true (Cset.remove s 2);
   Alcotest.(check int) "length" 1 (Cset.length s)
 
-let test_cset_add_batch () =
-  let s = Cset.create ~compare:icompare () in
-  ignore (Cset.add s 5);
-  (* fresh, in-batch dup (first wins), dup of pre-inserted, fresh *)
-  let res = Cset.add_batch s [| 1; 1; 5; 3 |] in
-  Alcotest.(check (array bool)) "dedup flags" [| true; false; false; true |] res;
-  Alcotest.(check (list int)) "set contents" [ 1; 3; 5 ] (Cset.to_list s);
-  let empty = Cset.add_batch s [||] in
-  Alcotest.(check int) "empty batch" 0 (Array.length empty);
-  Alcotest.(check int) "length unchanged" 3 (Cset.length s)
-
 let test_cset_range () =
   let s = Cset.create ~compare:icompare () in
   List.iter (fun x -> ignore (Cset.add s x)) [ 2; 4; 6; 8 ];
@@ -479,7 +468,6 @@ let suite =
     ( "cds.cset",
       [
         tc "basics" `Quick test_cset_basics;
-        tc "add_batch dedup" `Quick test_cset_add_batch;
         tc "range iteration" `Quick test_cset_range;
       ] );
     ( "cds.chashmap",

@@ -989,9 +989,7 @@ let test_engine_session_reports_time () =
   ignore (Engine.drain s);
   let r = Engine.finish s in
   Alcotest.(check bool) "at least 100 steps" true (r.Engine.steps >= 100);
-  Alcotest.(check bool) "elapsed > 0" true (r.Engine.elapsed > 0.0);
-  Alcotest.(check bool) "extract time > 0" true
-    (r.Engine.phases.Engine.t_extract > 0.0)
+  Alcotest.(check bool) "elapsed > 0" true (r.Engine.elapsed > 0.0)
 
 (* Determinism property: random micro-programs produce identical output
    under 1 and 2 threads. *)

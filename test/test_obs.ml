@@ -83,16 +83,12 @@ let test_exact_event_counts () =
   Alcotest.(check int) "nothing dropped" 0 (Tracer.dropped result.Engine.tracer)
 
 (* ------------------------------------------------------------------ *)
-(* The per-kind suppress mask: per-firing spans can be dropped while
-   step/extract spans stay on — the knob for firing-heavy runs. *)
+(* trace_sample, the one span filter: 1 in N spans of each kind, per
+   domain, the first of every window kept — so every kind survives. *)
 
-let test_suppress_mask_engine () =
+let test_sample_engine () =
   let config =
-    {
-      Config.default with
-      Config.tracing = Level.Spans;
-      trace_suppress = [ "batch-fire" ];
-    }
+    { Config.default with Config.tracing = Level.Spans; trace_sample = 2 }
   in
   let result = run_chain ~last:5 config in
   let counts = Array.make Kind.builtin_count 0 in
@@ -100,28 +96,77 @@ let test_suppress_mask_engine () =
     (fun ~tid:_ ~kind ~ts:_ ~dur:_ ~arg:_ ->
       if kind < Kind.builtin_count then counts.(kind) <- counts.(kind) + 1);
   let count k = counts.(Kind.to_int k) in
-  Alcotest.(check int) "batch-fire suppressed" 0 (count Kind.batch_fire);
-  Alcotest.(check int) "step spans kept" 6 (count Kind.step);
-  Alcotest.(check int) "extract spans kept" 7 (count Kind.extract)
+  (* unsampled: 12 batch-fire, 6 step, 7 extract, 1 drain *)
+  Alcotest.(check int) "batch-fire 1 in 2" 6 (count Kind.batch_fire);
+  Alcotest.(check int) "step 1 in 2" 3 (count Kind.step);
+  Alcotest.(check int) "extract 1 in 2" 4 (count Kind.extract);
+  Alcotest.(check int) "rare kind kept" 1 (count Kind.drain)
 
-let test_suppress_mask_unit () =
-  let t = Tracer.create ~suppress:[ Kind.rule_fire ] ~level:Level.Spans () in
-  Alcotest.(check bool) "suppressed" true (Tracer.suppressed t Kind.rule_fire);
-  Alcotest.(check bool) "enabled excludes it" false
-    (Tracer.enabled t Kind.rule_fire);
-  Alcotest.(check bool) "others stay enabled" true (Tracer.enabled t Kind.step);
-  Tracer.set_suppressed t [ Kind.step ];
-  Alcotest.(check bool) "mask replaced" true (Tracer.enabled t Kind.rule_fire);
-  Alcotest.(check bool) "step now masked" false (Tracer.enabled t Kind.step);
-  (* Registered (custom) kinds share the id space and mask like any
-     builtin while they fit in the mask word. *)
+let test_sample_unit () =
+  (match Tracer.create ~sample:0 ~level:Level.Spans () with
+  | _ -> Alcotest.fail "sample 0 accepted"
+  | exception Invalid_argument _ -> ());
+  let t = Tracer.create ~sample:3 ~level:Level.Spans () in
+  for i = 0 to 9 do
+    Tracer.instant t ~arg:i Kind.steal
+  done;
+  Tracer.instant t Kind.spawn;
+  (* Registered (custom) kinds keep their own window too. *)
   let custom = Tracer.register_kind t "bench-phase" in
-  Alcotest.(check bool) "custom kind on by default" true
-    (Tracer.enabled t custom);
-  Tracer.set_suppressed t [ custom ];
-  Alcotest.(check bool) "custom kind maskable" false (Tracer.enabled t custom);
-  (* Suppression only mutes recording, it never makes spans_on lie. *)
+  Tracer.instant t custom;
+  let steals = ref [] and others = ref 0 in
+  Tracer.events t (fun ~tid:_ ~kind ~ts:_ ~dur:_ ~arg ->
+      if kind = Kind.to_int Kind.steal then steals := arg :: !steals
+      else incr others);
+  Alcotest.(check (list int)) "first of each window of 3" [ 0; 3; 6; 9 ]
+    (List.rev !steals);
+  Alcotest.(check int) "other kinds keep their first" 2 !others;
   Alcotest.(check bool) "spans still on" true (Tracer.spans_on t)
+
+(* One firing chunk, two sinks: the batch-fire span and the profiler's
+   bracket time the same interval from the same two clock readings, so
+   over a run their totals agree to the nanosecond.  One rule and no
+   -noDelta table, so no nested bracket carves time out of the rule's
+   self time; one thread, so every span and bracket lands on one
+   domain. *)
+let test_one_reading_every_sink () =
+  let p = Program.create () in
+  let t =
+    Program.table p "T"
+      ~columns:Schema.[ int_col "x" ]
+      ~orderby:Schema.[ Lit "Int"; Seq "x" ]
+      ()
+  in
+  Program.rule p "next" ~trigger:t (fun ctx tuple ->
+      let x = Tuple.int tuple "x" in
+      if x < 2000 then ctx.Rule.put (Tuple.make t [| v_int (x + 1) |]));
+  let config =
+    {
+      Config.default with
+      Config.tracing = Level.Spans;
+      grain = Config.Fixed 1;
+      profile = true;
+    }
+  in
+  let s = Engine.start (Program.freeze p) config in
+  Engine.feed s [ Tuple.make t [| v_int 0 |] ];
+  ignore (Engine.drain s);
+  let prof = Option.get (Engine.session_profiler s) in
+  let result = Engine.finish s in
+  let tracer = result.Engine.tracer in
+  Alcotest.(check int) "nothing dropped" 0 (Tracer.dropped tracer);
+  let chunks = ref 0 and span_ns = ref 0 in
+  Tracer.events tracer (fun ~tid:_ ~kind ~ts:_ ~dur ~arg:_ ->
+      if kind = Kind.to_int Kind.batch_fire then begin
+        incr chunks;
+        span_ns := !span_ns + dur
+      end);
+  let row = (Profiler.rules prof).(0) in
+  Alcotest.(check int) "one chunk per step" 2001 !chunks;
+  Alcotest.(check int) "profiler fires" 2001 row.Profiler.pr_fires;
+  Alcotest.(check (float 0.5)) "span ns = profiler self ns"
+    (float_of_int !span_ns)
+    (row.Profiler.pr_self_s *. 1e9)
 
 (* ------------------------------------------------------------------ *)
 (* Export: valid JSON, well-formed nesting, round-trip *)
@@ -286,9 +331,9 @@ let suite =
     ( "obs.tracer",
       [
         tc "exact event counts, threads=1" `Quick test_exact_event_counts;
-        tc "suppress mask drops batch-fire only" `Quick
-          test_suppress_mask_engine;
-        tc "suppress mask unit contract" `Quick test_suppress_mask_unit;
+        tc "trace_sample: 1 in N per kind" `Quick test_sample_engine;
+        tc "trace_sample unit contract" `Quick test_sample_unit;
+        tc "one reading, every sink" `Quick test_one_reading_every_sink;
         tc "disabled tracer allocates nothing" `Quick
           test_disabled_tracer_zero_alloc;
         tc "Off run carries disabled tracer" `Quick

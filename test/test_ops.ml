@@ -315,23 +315,22 @@ let test_httpd_strict_framing () =
 (* Profiler unit behaviour *)
 
 let test_profiler_folds () =
-  let p =
-    Profiler.create ~rules:[| "a"; "b" |] ~tables:[| "T" |] ~decay:0.5 ()
+  let p = Profiler.create ~rules:[| "a"; "b" |] ~tables:[| "T" |] () in
+  (* Two firings of rule 0, one of rule 1. *)
+  let fire rule ns =
+    Profiler.fire_start p;
+    Profiler.fire_stop p ~rule ~fires:1 ~ns
   in
-  (* Two timed firings of rule 0, one of rule 1. *)
-  let t0 = Profiler.fire_start p in
-  Profiler.fire_stop p ~rule:0 t0;
-  let t0 = Profiler.fire_start p in
-  Profiler.fire_stop p ~rule:0 t0;
-  let t0 = Profiler.fire_start p in
-  Profiler.fire_stop p ~rule:1 t0;
+  fire 0 10;
+  fire 0 20;
+  fire 1 5;
   Profiler.step_barrier p ~puts:[| 5 |] ~queries:[| 2 |] ~gamma:[| 4 |] ();
   Alcotest.(check int) "steps" 1 (Profiler.steps p);
   let rules = Profiler.rules p in
   Alcotest.(check int) "rule a fires" 2 rules.(0).Profiler.pr_fires;
   Alcotest.(check int) "rule b fires" 1 rules.(1).Profiler.pr_fires;
-  Alcotest.(check bool) "self time nonnegative" true
-    (rules.(0).Profiler.pr_self_s >= 0.0);
+  Alcotest.(check (float 1e-12)) "self time summed" 30e-9
+    rules.(0).Profiler.pr_self_s;
   let tables = Profiler.tables p in
   Alcotest.(check int) "puts folded" 5 tables.(0).Profiler.pt_puts;
   Alcotest.(check int) "queries folded" 2 tables.(0).Profiler.pt_queries;
@@ -348,23 +347,29 @@ let test_profiler_folds () =
       Alcotest.(check bool) "only fired rules" true
         (List.for_all (fun r -> r.Profiler.pr_fires > 0) rows)
 
-let test_profiler_sampling_scales () =
-  let p =
-    Profiler.create ~rules:[| "a" |] ~tables:[||] ~sample:4 ~stripes:1 ()
-  in
-  for _ = 1 to 100 do
-    let t0 = Profiler.fire_start p in
-    Profiler.fire_stop p ~rule:0 t0
+let test_profiler_nested_chunks () =
+  let p = Profiler.create ~rules:[| "a"; "b" |] ~tables:[||] () in
+  (* 25 chunk brackets of rule 0, 4 firings each; inside every chunk
+     one nested bracket of rule 1, whose time is not rule 0's self. *)
+  for _ = 1 to 25 do
+    Profiler.fire_start p;
+    Profiler.fire_start p;
+    Profiler.fire_stop p ~rule:1 ~fires:1 ~ns:30;
+    Profiler.fire_stop p ~rule:0 ~fires:4 ~ns:100
   done;
   Profiler.step_barrier p ~puts:[||] ~queries:[||] ~gamma:[||] ();
-  let r = (Profiler.rules p).(0) in
-  (* Every firing is counted even when only 1-in-4 is timed. *)
-  Alcotest.(check int) "all fires counted" 100 r.Profiler.pr_fires
+  let r = Profiler.rules p in
+  Alcotest.(check int) "every chunk firing counted" 100 r.(0).Profiler.pr_fires;
+  Alcotest.(check int) "nested firings counted" 25 r.(1).Profiler.pr_fires;
+  Alcotest.(check (float 1e-12)) "nested time excluded" (25. *. 70e-9)
+    r.(0).Profiler.pr_self_s;
+  Alcotest.(check (float 1e-12)) "nested self" (25. *. 30e-9)
+    r.(1).Profiler.pr_self_s
 
 let test_profiler_json () =
   let p = Profiler.create ~rules:[| "a" |] ~tables:[| "T" |] () in
-  let t0 = Profiler.fire_start p in
-  Profiler.fire_stop p ~rule:0 t0;
+  Profiler.fire_start p;
+  Profiler.fire_stop p ~rule:0 ~fires:1 ~ns:1;
   Profiler.step_barrier p ~puts:[| 1 |] ~queries:[| 0 |] ~gamma:[| 1 |] ();
   let j = Profiler.to_json p in
   (match Json.member "deterministic" j with
@@ -462,8 +467,8 @@ let suite =
     ( "ops.profiler",
       [
         Alcotest.test_case "fold and EMA behaviour" `Quick test_profiler_folds;
-        Alcotest.test_case "sampling keeps exact fire counts" `Quick
-          test_profiler_sampling_scales;
+        Alcotest.test_case "nested brackets: exact self" `Quick
+          test_profiler_nested_chunks;
         Alcotest.test_case "json payload" `Quick test_profiler_json;
         Alcotest.test_case "digests identical with profiler on (1/2/4 \
                             threads)" `Quick test_digests_with_profiler;

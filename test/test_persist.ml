@@ -279,6 +279,22 @@ let test_durable_every_ms_lanes () =
     (Durable.wal_coalesced_syncs d > 0);
   ignore (Durable.finish d)
 
+(* The command-line spelling of a policy, shared by jstar-demo and
+   jstar-serve: the printer writes what the parser reads, and zero or
+   malformed counts are refused. *)
+let test_fsync_policy_spelling () =
+  List.iter
+    (fun policy ->
+      let s = Format.asprintf "%a" Wal.pp_fsync_policy policy in
+      Alcotest.(check bool) ("round-trip " ^ s) true
+        (Wal.fsync_policy_of_string s = Ok policy))
+    [ Wal.Always; Wal.Never; Wal.Every 64; Wal.Every_ms 5 ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) ("refused " ^ s) true
+        (Result.is_error (Wal.fsync_policy_of_string s)))
+    [ "0"; "-3"; "0ms"; "ms"; "5s"; "bogus"; "" ]
+
 let test_wal_roundtrip () =
   let fx = closure_fixture () in
   let events =
@@ -667,6 +683,8 @@ let suite =
           test_wal_every_ms_group_commit;
         Alcotest.test_case "durable every-ms counters" `Quick
           test_durable_every_ms_lanes;
+        Alcotest.test_case "fsync policy spelling" `Quick
+          test_fsync_policy_spelling;
         Alcotest.test_case "restart replays the log" `Quick
           test_durable_restart_clean;
         Alcotest.test_case "checkpoint + restore" `Quick

@@ -171,10 +171,9 @@ let test_config_validation () =
     | () -> Alcotest.failf "expected Config.Invalid for %s" msg
     | exception Config.Invalid _ -> ()
   in
-  raises "unknown suppress kind"
-    { Config.default with Config.trace_suppress = [ "no-such-kind" ] };
-  Config.validate
-    { Config.default with Config.trace_suppress = [ "rule-fire" ] }
+  raises "trace_sample 0" { Config.default with Config.trace_sample = 0 };
+  raises "grain 0" { Config.default with Config.grain = Config.Fixed 0 };
+  Config.validate { Config.default with Config.trace_sample = 4 }
 
 (* ------------------------------------------------------------------ *)
 (* The put path must not allocate.  Duplicate puts of a

@@ -1,10 +1,8 @@
 (* Tests for the stats library: dependency-graph construction and DOT
-   export (Fig 7), annotated graphs, and phase timers with Amdahl
-   bounds (§6.3). *)
+   export (Fig 7) and annotated graphs. *)
 
 open Jstar_core
 module Depgraph = Jstar_stats.Depgraph
-module Phase_timer = Jstar_obs.Phase_timer
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
@@ -81,40 +79,6 @@ let test_depgraph_write () =
       close_in ic;
       Alcotest.(check string) "header" "digraph jstar {" line)
 
-let test_phase_timer () =
-  let t = Phase_timer.create () in
-  Phase_timer.add t "read" 1.0;
-  Phase_timer.add t "compute" 3.0;
-  Phase_timer.add t "read" 1.0;
-  (* accumulates *)
-  Alcotest.(check (float 1e-9)) "total" 5.0 (Phase_timer.total t);
-  Alcotest.(check (list (pair string (float 1e-9)))) "phases in order"
-    [ ("read", 2.0); ("compute", 3.0) ]
-    (Phase_timer.phases t);
-  Alcotest.(check (list (pair string (float 1e-9)))) "fractions"
-    [ ("read", 0.4); ("compute", 0.6) ]
-    (Phase_timer.fractions t)
-
-let test_phase_timer_time () =
-  let t = Phase_timer.create () in
-  let v = Phase_timer.time t "work" (fun () -> 42) in
-  Alcotest.(check int) "returns value" 42 v;
-  Alcotest.(check bool) "recorded some time" true (Phase_timer.total t >= 0.0)
-
-let test_amdahl () =
-  let t = Phase_timer.create () in
-  (* the paper's numbers: serial read 16.9%, the rest parallel over 12 *)
-  Phase_timer.add t "read" 0.169;
-  Phase_timer.add t "rest" 0.831;
-  let bound = Phase_timer.amdahl_bound t ~serial:[ "read" ] ~workers:12 in
-  Alcotest.(check (float 0.05)) "paper's 4.2x bound" 4.2 bound
-
-let test_amdahl_all_parallel () =
-  let t = Phase_timer.create () in
-  Phase_timer.add t "work" 1.0;
-  Alcotest.(check (float 1e-9)) "ideal" 8.0
-    (Phase_timer.amdahl_bound t ~serial:[] ~workers:8)
-
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -124,12 +88,5 @@ let suite =
         tc "DOT export" `Quick test_depgraph_dot;
         tc "annotated DOT" `Quick test_depgraph_dot_annotated;
         tc "write to file" `Quick test_depgraph_write;
-      ] );
-    ( "stats.phase_timer",
-      [
-        tc "accumulation and fractions" `Quick test_phase_timer;
-        tc "time combinator" `Quick test_phase_timer_time;
-        tc "Amdahl bound (paper 4.2x)" `Quick test_amdahl;
-        tc "Amdahl all-parallel" `Quick test_amdahl_all_parallel;
       ] );
   ]

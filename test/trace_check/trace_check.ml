@@ -5,6 +5,8 @@
    events form a balanced, name-matched bracket sequence in file
    order. *)
 
+module Json = Jstar_obs.Json
+
 type summary = {
   events : int;
   tracks : int;

@@ -12,5 +12,5 @@ type summary = {
 
 val name_count : summary -> string -> int
 
-val validate : Json.t -> (summary, string) result
+val validate : Jstar_obs.Json.t -> (summary, string) result
 val validate_string : string -> (summary, string) result
