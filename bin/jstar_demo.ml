@@ -735,8 +735,20 @@ let stream_cmd =
         report ?trace_out ?metrics_out (Engine.finish s) show_stats
     | Some dir ->
         let d, status =
-          Jstar_persist.Durable.open_ ~checkpoint_every ~fsync ~dir frozen
-            config
+          match
+            Jstar_persist.Durable.open_ ~checkpoint_every ~fsync ~dir frozen
+              config
+          with
+          | opened -> opened
+          | exception Jstar_persist.Durable.Recovery_error msg ->
+              (* One line, not cmdliner's internal-error report (exit
+                 125).  Most messages already lead with the directory. *)
+              let msg =
+                if String.starts_with ~prefix:dir msg then msg
+                else dir ^ ": " ^ msg
+              in
+              Fmt.epr "jstar-demo: cannot reopen %s@." msg;
+              exit 1
         in
         let wal_json () =
           let lag = Jstar_persist.Durable.wal_lag d in

@@ -36,9 +36,15 @@ let with_shard s f =
   Mutex.lock s.mutex;
   Fun.protect f ~finally:(fun () -> Mutex.unlock s.mutex)
 
+(* The probe path.  A lookup cannot raise (key comparison fails only on
+   functional values, and no key holds one), so the shard is locked and
+   unlocked directly, without [Fun.protect]'s two closures. *)
 let find_opt t k =
   let s = shard_of t k in
-  with_shard s (fun () -> Hashtbl.find_opt s.table k)
+  Mutex.lock s.mutex;
+  let v = Hashtbl.find_opt s.table k in
+  Mutex.unlock s.mutex;
+  v
 
 let mem t k =
   let s = shard_of t k in

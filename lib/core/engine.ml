@@ -29,7 +29,12 @@
 
    Set semantics: a put whose tuple is already in Gamma or already
    pending in Delta is dropped.  Duplicate drops are what terminate
-   recursive programs (the SumMonth dedup of §6.2).
+   recursive programs (the SumMonth dedup of §6.2).  A put to a
+   Delta-bound table first probes its unit's own dedup set, then Gamma,
+   and only a Gamma miss is pushed: a tuple pending from the unit
+   missed Gamma when it was pushed, and Gamma changes only at Phase A,
+   which never runs while a unit is open, so this order drops the same
+   puts with the same counters as probing Gamma first.
 
    -noDelta T tuples bypass Delta: they are inserted into Gamma and
    their rules fire immediately, inside the putting unit (§5.1).
@@ -774,17 +779,25 @@ let run_chunks st ~grain lo hi f =
 (* ------------------------------------------------------------------ *)
 (* Put routing                                                         *)
 
-let push_put st sc c tuple =
-  if not (Tuple.Dset.add_if_absent sc.sc_seen tuple) then begin
-    (* Duplicate of a put already pending from this unit: drop it here,
-       with the counter totals [Delta.insert_batch] would have given. *)
-    Table_stats.incr c.Table_stats.delta_dups;
-    sc.sc_dups <- sc.sc_dups + 1
-  end
-  else begin
-    scratch_push sc tuple;
-    if sc.sc_len >= scratch_flush_threshold then flush_scratch st sc
-  end
+(* Fire [rules] for [tuple] in turn, a top-level walk so that a firing
+   allocates no closure.  [fr] is the domain's firing frame when
+   provenance or audit is on, and [now] the trigger's time. *)
+let rec fire_each st ctx c fr now tuple = function
+  | [] -> ()
+  | r :: rest ->
+      (match fr with
+      | Some fr -> enter_firing fr ~rule:r.Rule.rid ~now tuple
+      | None -> ());
+      Table_stats.incr c.Table_stats.triggers;
+      (match st.profiler with
+      | Some p ->
+          let p0 = Jstar_obs.Monotonic.now_ns () in
+          Jstar_obs.Profiler.fire_start p;
+          r.Rule.body ctx tuple;
+          Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid ~fires:1
+            ~ns:(Jstar_obs.Monotonic.now_ns () - p0)
+      | None -> r.Rule.body ctx tuple);
+      fire_each st ctx c fr now tuple rest
 
 let rec route_put st ctx tuple =
   let schema = Tuple.schema tuple in
@@ -801,14 +814,31 @@ let rec route_put st ctx tuple =
       Table_stats.incr c.Table_stats.gamma_inserts;
       fire_rules st ctx tuple)
     else Table_stats.incr c.Table_stats.gamma_dups)
-  else if st.gamma.(id).Store.mem tuple then
-    (* Already processed: set semantics drop. *)
-    Table_stats.incr c.Table_stats.gamma_dups
   else
-    (* Into the unit's arena.  Gamma of a Delta-bound table only changes
-       at Phase A, so the [mem] check above cannot go stale before the
-       arena flushes. *)
-    push_put st (current st) c tuple
+    (* The unit's own dedup set first, then Gamma, then the arena.  A
+       tuple enters [sc_seen] only after it missed Gamma, and a
+       Delta-bound table's Gamma changes only at Phase A, which never
+       runs while a unit is open.  So a put found in [sc_seen] would
+       miss Gamma again and die as a Delta duplicate: dropping it
+       before the Gamma probe is the same program with the same
+       counters, and a duplicate never walks the shared store.
+       [Store.ia_set_raw] writes bypass the put path and could break
+       the premise; no program both puts into a table and writes it
+       raw (matmul's unboxed variant never puts Matrix). *)
+    let sc = current st in
+    if Tuple.Dset.mem sc.sc_seen tuple then begin
+      (* The totals [Delta.insert_batch] would have given. *)
+      Table_stats.incr c.Table_stats.delta_dups;
+      sc.sc_dups <- sc.sc_dups + 1
+    end
+    else if st.gamma.(id).Store.mem tuple then
+      (* Already processed: set semantics drop. *)
+      Table_stats.incr c.Table_stats.gamma_dups
+    else begin
+      Tuple.Dset.add sc.sc_seen tuple;
+      scratch_push sc tuple;
+      if sc.sc_len >= scratch_flush_threshold then flush_scratch st sc
+    end
 
 (* Immediate firing of a -noDelta tuple's rules (§5.1), inside the unit
    that put it — the one per-tuple firing left, and so the only one
@@ -820,27 +850,11 @@ and fire_rules st ctx tuple =
   | rules ->
       let c = Table_stats.counters st.stats id in
       let t0 = if st.counters_on then Jstar_obs.Monotonic.now_ns () else 0 in
-      let fire r =
-        Table_stats.incr c.Table_stats.triggers;
-        match st.profiler with
-        | Some p ->
-            let p0 = Jstar_obs.Monotonic.now_ns () in
-            Jstar_obs.Profiler.fire_start p;
-            r.Rule.body ctx tuple;
-            Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid ~fires:1
-              ~ns:(Jstar_obs.Monotonic.now_ns () - p0)
-        | None -> r.Rule.body ctx tuple
-      in
       (if st.prov_or_audit then begin
          let now = Some (timestamp_of st id tuple) in
-         in_frame (fun fr ->
-             List.iter
-               (fun r ->
-                 enter_firing fr ~rule:r.Rule.rid ~now tuple;
-                 fire r)
-               rules)
+         in_frame (fun fr -> fire_each st ctx c (Some fr) now tuple rules)
        end
-       else List.iter fire rules);
+       else fire_each st ctx c None None tuple rules);
       if st.counters_on then begin
         let dur = Jstar_obs.Monotonic.now_ns () - t0 in
         Jstar_obs.Metrics.observe st.h_rule_latency (float_of_int dur *. 1e-9);

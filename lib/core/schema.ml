@@ -114,39 +114,37 @@ let column_cmp = function
         | Value.Bool x, Value.Bool y -> Bool.compare x y
         | _ -> Value.compare a b)
 
+(* The compiled comparators' walks, top-level so that a comparison
+   allocates no closure.  [compare_ints] is the common all-int schema:
+   one tight loop, no per-field closure call. *)
+let rec compare_ints a b i n =
+  if i >= n then 0
+  else
+    match (Array.unsafe_get a i, Array.unsafe_get b i) with
+    | Value.Int x, Value.Int y ->
+        if x < y then -1 else if x > y then 1 else compare_ints a b (i + 1) n
+    | va, vb ->
+        let c = Value.compare va vb in
+        if c <> 0 then c else compare_ints a b (i + 1) n
+
+let rec compare_columns cmps a b i n =
+  if i >= n then 0
+  else
+    let c =
+      (Array.unsafe_get cmps i) (Array.unsafe_get a i) (Array.unsafe_get b i)
+    in
+    if c <> 0 then c else compare_columns cmps a b (i + 1) n
+
 let compile_fields_compare columns =
   let n = Array.length columns in
-  let all ty = Array.for_all (fun c -> c.col_ty = ty) columns in
-  if all Value.TInt then (fun a b ->
-    (* The common all-int schema: one tight loop, no per-field closure. *)
+  if Array.for_all (fun c -> c.col_ty = Value.TInt) columns then fun a b ->
     if Array.length a <> n || Array.length b <> n then Value.compare_arrays a b
-    else
-      let rec go i =
-        if i >= n then 0
-        else
-          match (Array.unsafe_get a i, Array.unsafe_get b i) with
-          | Value.Int x, Value.Int y ->
-              if x < y then -1 else if x > y then 1 else go (i + 1)
-          | va, vb ->
-              let c = Value.compare va vb in
-              if c <> 0 then c else go (i + 1)
-      in
-      go 0)
+    else compare_ints a b 0 n
   else
     let cmps = Array.map (fun c -> column_cmp c.col_ty) columns in
     fun a b ->
       if Array.length a <> n || Array.length b <> n then Value.compare_arrays a b
-      else
-        let rec go i =
-          if i >= n then 0
-          else
-            let c =
-              (Array.unsafe_get cmps i) (Array.unsafe_get a i)
-                (Array.unsafe_get b i)
-            in
-            if c <> 0 then c else go (i + 1)
-        in
-        go 0
+      else compare_columns cmps a b 0 n
 
 let fields_compare t =
   match t.fields_cmp with

@@ -244,7 +244,12 @@ let hash_index ~prefix_len schema =
       (fun t ->
         match Jstar_cds.Chashmap.find_opt buckets (key_of_tuple t) with
         | None -> false
-        | Some b -> with_bucket b (fun () -> Tuple.Dset.mem b.b_seen t));
+        | Some b ->
+            (* [Dset.mem] cannot raise, so no [Fun.protect] closures. *)
+            Mutex.lock b.b_mutex;
+            let found = Tuple.Dset.mem b.b_seen t in
+            Mutex.unlock b.b_mutex;
+            found);
     iter_prefix =
       (fun prefix f ->
         if Array.length prefix >= prefix_len then (

@@ -15,19 +15,17 @@ let no_hash = min_int
 exception Tuple_error of string
 
 let check_types schema fields =
-  Array.iteri
-    (fun i v ->
-      let want = Schema.field_ty schema i in
-      let got = Value.type_of v in
-      (* Int widens to Float implicitly, as OCaml ints do in to_float. *)
-      let ok = got = want || (want = Value.TFloat && got = Value.TInt) in
-      if not ok then
-        raise
-          (Tuple_error
-             (Fmt.str "%s.%s: expected %s, got %s" schema.Schema.name
-                schema.Schema.columns.(i).Schema.col_name
-                (Value.ty_name want) (Value.ty_name got))))
-    fields
+  for i = 0 to Array.length fields - 1 do
+    let want = Schema.field_ty schema i in
+    let got = Value.type_of (Array.unsafe_get fields i) in
+    (* Int widens to Float implicitly, as OCaml ints do in to_float. *)
+    if not (got = want || (want = Value.TFloat && got = Value.TInt)) then
+      raise
+        (Tuple_error
+           (Fmt.str "%s.%s: expected %s, got %s" schema.Schema.name
+              schema.Schema.columns.(i).Schema.col_name
+              (Value.ty_name want) (Value.ty_name got)))
+  done
 
 let make schema fields =
   if Array.length fields <> Schema.arity schema then
@@ -126,8 +124,13 @@ end)
 module Dset = struct
   type tuple = t
 
+  (* A chain cell.  [next] is mutable so that [resize] relinks the
+     cells into the new bucket array instead of re-consing every chain:
+     the only allocation of a resize is the bucket array itself. *)
+  type node = Nil | Node of { v : tuple; mutable next : node }
+
   type t = {
-    mutable buckets : tuple list array; (* chains; [] = empty *)
+    mutable buckets : node array;
     mutable size : int;
   }
 
@@ -141,47 +144,57 @@ module Dset = struct
       done;
       !c
     in
-    { buckets = Array.make cap []; size = 0 }
+    { buckets = Array.make cap Nil; size = 0 }
+
+  (* The chain walks are top-level functions with explicit arguments,
+     so a probe allocates no closure. *)
+  let rec chain_mem t h = function
+    | Nil -> false
+    | Node n ->
+        n.v == t || (n.v.hcache = h && equal n.v t) || chain_mem t h n.next
+
+  (* Move each cell of a chain to the head of its bucket in [fresh]. *)
+  let rec relink fresh mask = function
+    | Nil -> ()
+    | Node n as cell ->
+        let next = n.next in
+        let i = n.v.hcache land mask in
+        n.next <- Array.unsafe_get fresh i;
+        Array.unsafe_set fresh i cell;
+        relink fresh mask next
 
   let resize s =
     let old = s.buckets in
-    let ncap = 2 * Array.length old in
-    let fresh = Array.make ncap [] in
-    Array.iter
-      (List.iter (fun t ->
-           let i = t.hcache land (ncap - 1) in
-           fresh.(i) <- t :: fresh.(i)))
-      old;
+    let fresh = Array.make (2 * Array.length old) Nil in
+    for i = 0 to Array.length old - 1 do
+      relink fresh (Array.length fresh - 1) (Array.unsafe_get old i)
+    done;
     s.buckets <- fresh
-
-  let add_if_absent s t =
-    let h = hash t in
-    let mask = Array.length s.buckets - 1 in
-    let i = h land mask in
-    let rec found = function
-      | [] -> false
-      | x :: rest -> x == t || (x.hcache = h && equal x t) || found rest
-    in
-    if found s.buckets.(i) then false
-    else begin
-      s.buckets.(i) <- t :: s.buckets.(i);
-      s.size <- s.size + 1;
-      if s.size > 2 * mask then resize s;
-      true
-    end
 
   let mem s t =
     let h = hash t in
-    let rec found = function
-      | [] -> false
-      | x :: rest -> x == t || (x.hcache = h && equal x t) || found rest
-    in
-    found s.buckets.(h land (Array.length s.buckets - 1))
+    chain_mem t h s.buckets.(h land (Array.length s.buckets - 1))
+
+  (* Cons [t] onto bucket [i]; grow past two cells per bucket. *)
+  let push s i t =
+    s.buckets.(i) <- Node { v = t; next = s.buckets.(i) };
+    s.size <- s.size + 1;
+    if s.size > 2 * (Array.length s.buckets - 1) then resize s
+
+  let add_if_absent s t =
+    let h = hash t in
+    let i = h land (Array.length s.buckets - 1) in
+    if chain_mem t h s.buckets.(i) then false else (push s i t; true)
+
+  let add s t = push s (hash t land (Array.length s.buckets - 1)) t
 
   let length s = s.size
 
-  let fold f s acc =
-    Array.fold_left (fun acc chain -> List.fold_left f acc chain) acc s.buckets
+  let rec fold_chain f acc = function
+    | Nil -> acc
+    | Node n -> fold_chain f (f acc n.v) n.next
+
+  let fold f s acc = Array.fold_left (fold_chain f) acc s.buckets
 
   (* Costs what the set holds, not what it once held: capacities only
      grow, so a sparse table is replaced by one sized to its contents
@@ -190,7 +203,7 @@ module Dset = struct
     if s.size > 0 then begin
       let cap = Array.length s.buckets in
       if cap > 8 * s.size then s.buckets <- (create s.size).buckets
-      else Array.fill s.buckets 0 cap [];
+      else Array.fill s.buckets 0 cap Nil;
       s.size <- 0
     end
 end
@@ -206,9 +219,4 @@ let show t = Fmt.str "%a" pp t
    leading-field queries such as [get PvWatts(year, month)]. *)
 let matches_prefix t prefix =
   let n = Array.length prefix in
-  n <= Array.length t.fields
-  &&
-  let rec go i =
-    i >= n || (Value.equal t.fields.(i) prefix.(i) && go (i + 1))
-  in
-  go 0
+  n <= Array.length t.fields && Value.equal_prefix t.fields prefix n

@@ -56,7 +56,14 @@ module Tbl : Hashtbl.S with type key = t
 (** Chained hash set specialised for set-semantics dedup: one hash (a
     cached-field read after the first probe of a tuple) and one bucket
     walk per operation, with stored-vs-probe cached-hash comparison
-    short-circuiting the field comparison on non-duplicates. *)
+    short-circuiting the field comparison on non-duplicates.  No probe
+    allocates.
+
+    Not safe for a reader that takes no lock: a growing
+    {!add_if_absent} relinks the chain cells in place.  Every user owns
+    its set or holds the set's lock for every operation, reads
+    included: the hash-index bucket, the PvWatts month-array shard, the
+    Delta leaf and the engine's unit-local [sc_seen]. *)
 module Dset : sig
   type tuple = t
   type t
@@ -64,6 +71,10 @@ module Dset : sig
   val create : int -> t
   val add_if_absent : t -> tuple -> bool
   (** [true] iff the tuple was absent and has been added. *)
+
+  val add : t -> tuple -> unit
+  (** Add a tuple that {!mem} has just reported absent, skipping the
+      walk {!add_if_absent} would repeat. *)
 
   val mem : t -> tuple -> bool
   val length : t -> int

@@ -114,27 +114,28 @@ let pp ppf = function
 
 let show v = Fmt.str "%a" pp v
 
-(* Array helpers used pervasively for tuple fields and query prefixes. *)
-let compare_arrays a b =
+(* Array helpers used pervasively for tuple fields and query prefixes.
+   The walks are top-level functions with explicit arguments, not local
+   closures, so no comparison or probe on the put path allocates. *)
+let rec compare_from a b i =
   let la = Array.length a and lb = Array.length b in
-  let rec go i =
-    if i >= la && i >= lb then 0
-    else if i >= la then -1
-    else if i >= lb then 1
-    else
-      let c = compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  if i >= la then if i >= lb then 0 else -1
+  else if i >= lb then 1
+  else
+    let c = compare (Array.unsafe_get a i) (Array.unsafe_get b i) in
+    if c <> 0 then c else compare_from a b (i + 1)
+
+let compare_arrays a b = compare_from a b 0
+
+(* Do slots [i, k) of [a] and [b] hold equal values? *)
+let rec equal_upto a b i k =
+  i >= k
+  || equal (Array.unsafe_get a i) (Array.unsafe_get b i)
+     && equal_upto a b (i + 1) k
 
 let equal_arrays a b =
   let la = Array.length a in
-  la = Array.length b
-  &&
-  let rec go i =
-    i >= la || (equal (Array.unsafe_get a i) (Array.unsafe_get b i) && go (i + 1))
-  in
-  go 0
+  la = Array.length b && equal_upto a b 0 la
 
 let hash_array a =
   let n = Array.length a in
@@ -153,8 +154,4 @@ let hash_prefix a k =
   done;
   !h
 
-let equal_prefix a b k =
-  let rec go i =
-    i >= k || (equal (Array.unsafe_get a i) (Array.unsafe_get b i) && go (i + 1))
-  in
-  go 0
+let equal_prefix a b k = equal_upto a b 0 k

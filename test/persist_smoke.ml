@@ -8,7 +8,12 @@
    committed feed records with no covering watermark.  The parent then
    restores the directory and requires every digest (Gamma, class
    sequence, output stream) and the full output list to equal an
-   uninterrupted in-process run of the same schedule. *)
+   uninterrupted in-process run of the same schedule.
+
+   Given the jstar-demo binary, it also checks that a recovery error
+   reaches the user as one line and a plain failure exit: a directory
+   written without [--digest] cannot be reopened with it, because the
+   digest's lanes are part of every WAL watermark. *)
 
 open Jstar_core
 open Jstar_persist
@@ -21,6 +26,14 @@ let die fmt =
       prerr_endline ("persist-smoke: " ^ s);
       exit 1)
     fmt
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error _ -> ()
 
 (* -- the program ----------------------------------------------------- *)
 
@@ -136,25 +149,66 @@ let parent () =
   end;
   if restored.Engine.outputs <> oracle.Engine.outputs then
     die "output streams differ after restore";
-  (* scrub the scratch directory *)
-  Array.iter
-    (fun gen_dir ->
-      let p = Filename.concat dir gen_dir in
-      if Sys.is_directory p then
-        Array.iter
-          (fun f -> Sys.remove (Filename.concat p f))
-          (Sys.readdir p)
-      else Sys.remove p)
-    (Sys.readdir dir);
-  Array.iter
-    (fun d ->
-      let p = Filename.concat dir d in
-      if Sys.file_exists p && Sys.is_directory p then Unix.rmdir p)
-    (try Sys.readdir dir with Sys_error _ -> [||]);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
+  rm_rf dir;
   print_endline "persist-smoke OK: checkpoint, SIGKILL mid-drain, restore, digests equal"
+
+(* -- jstar-demo: a recovery error is one line, not a crash ------------ *)
+
+(* Run [demo args] with stdout discarded; its exit code and stderr lines. *)
+let run_demo demo args =
+  let err_r, err_w = Unix.pipe () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process demo (Array.of_list (demo :: args)) Unix.stdin null err_w
+  in
+  Unix.close err_w;
+  Unix.close null;
+  let ic = Unix.in_channel_of_descr err_r in
+  let rec lines acc =
+    match input_line ic with
+    | l -> lines (l :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let err = lines [] in
+  close_in ic;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED c -> (c, err)
+  | _, _ -> die "jstar-demo %s: killed" (String.concat " " args)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let demo_recovery_error demo =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "jstar-smoke-demo-%d" (Unix.getpid ()))
+  in
+  (match run_demo demo [ "stream"; "--ticks"; "100"; "--persist"; dir ] with
+  | 0, _ -> ()
+  | c, _ -> die "jstar-demo stream --persist exited %d" c);
+  let reopen =
+    run_demo demo [ "stream"; "--ticks"; "200"; "--persist"; dir; "--digest" ]
+  in
+  rm_rf dir;
+  match reopen with
+  | 0, _ -> die "reopening with --digest succeeded; expected a recovery error"
+  | 125, _ -> die "the recovery error escaped as an internal error (exit 125)"
+  | _, [ line ] when contains line dir && contains line "diverged" ->
+      print_endline
+        "persist-smoke OK: jstar-demo reports a recovery error in one line"
+  | c, lines ->
+      die "exit %d, stderr %S: expected one line naming %s and the divergence"
+        c (String.concat "\n" lines) dir
 
 let () =
   match Sys.argv with
   | [| _; "--child"; dir |] -> child dir
+  | [| _; demo |] ->
+      parent ();
+      demo_recovery_error demo
   | _ -> parent ()

@@ -181,6 +181,42 @@ let test_tuple_prefix () =
     (Tuple.matches_prefix t [| v_int 3; v_int 1 |]);
   Alcotest.(check bool) "bad prefix" false (Tuple.matches_prefix t [| v_int 4 |])
 
+(* [Tuple.Dset] grows by relinking its chain cells: the add that
+   doubles the bucket array allocates that array and its own cell, and
+   the set keeps every member and refuses equal twins after growing. *)
+let test_tuple_dset_growth () =
+  let _, ship = ship_program () in
+  let mk i = Tuple.make ship [| v_int i; v_int 0; v_int 0; v_int 0; v_int 0 |] in
+  let n = 500 in
+  let ts = Array.init n mk in
+  Array.iter (fun t -> ignore (Tuple.hash t)) ts;
+  let s = Tuple.Dset.create 8 in
+  let growth = ref [] in
+  Array.iter
+    (fun t ->
+      let before = Gc.minor_words () in
+      let added = Tuple.Dset.add_if_absent s t in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool) "fresh member added" true added;
+      (* a cell is 3 words; anything more is a resize *)
+      if words > 3.0 then growth := words :: !growth)
+    ts;
+  Alcotest.(check int) "size" n (Tuple.Dset.length s);
+  Alcotest.(check bool) "every member found" true
+    (Array.for_all (Tuple.Dset.mem s) ts);
+  Alcotest.(check bool) "equal twins refused" false
+    (Array.exists (fun t -> Tuple.Dset.add_if_absent s t) (Array.init n mk));
+  Alcotest.(check int) "fold visits each member once" n
+    (List.length
+       (List.sort_uniq Tuple.compare
+          (Tuple.Dset.fold (fun acc t -> t :: acc) s [])));
+  (* 8 -> 16 -> ... -> 256 buckets, every array small enough for the
+     minor heap: each resize allocates the new array (header + slots)
+     and the added cell, and re-conses nothing *)
+  Alcotest.(check (list (float 0.0))) "a resize allocates its bucket array only"
+    (List.map (fun cap -> float_of_int (cap + 1 + 3)) [ 256; 128; 64; 32; 16 ])
+    !growth
+
 (* ------------------------------------------------------------------ *)
 (* Timestamps *)
 
@@ -685,6 +721,80 @@ let test_engine_set_semantics () =
   Alcotest.(check int) "Dst fired once" 1 (Atomic.get fired);
   Alcotest.(check int) "one dedup recorded" 1 r.Engine.delta_deduped
 
+(* A put first probes its unit's own dedup set, and only a unit-local
+   miss probes Gamma: one firing putting the same fresh tuple 1,000
+   times pays one Gamma [mem], with the counters of the old
+   Gamma-first order.  The control: a tuple already in Gamma still
+   costs a [mem] and a Gamma duplicate per put. *)
+let test_engine_dedup_before_gamma () =
+  let run ~threads ~in_gamma =
+    let p = Program.create () in
+    let data =
+      Program.table p "Data"
+        ~columns:Schema.[ int_col "a"; int_col "b" ]
+        ~orderby:Schema.[ Lit "A" ] ()
+    in
+    let go =
+      Program.table p "Go" ~columns:Schema.[ int_col "x" ]
+        ~orderby:Schema.[ Lit "B" ] ()
+    in
+    Program.order p [ "A"; "B" ];
+    let mems = Atomic.make 0 in
+    let counting schema =
+      let inner = Store.tree schema in
+      { inner with Store.mem = (fun t -> Atomic.incr mems; inner.Store.mem t) }
+    in
+    let calls = ref 0 in
+    Program.rule p "put_1000" ~trigger:go (fun ctx _ ->
+        let b = if in_gamma then 2 else 3 in
+        let t = Tuple.make data [| v_int 1; v_int b |] in
+        let before = Atomic.get mems in
+        for _ = 1 to 1000 do
+          ctx.Rule.put t
+        done;
+        calls := Atomic.get mems - before);
+    let seeded =
+      if in_gamma then [ Tuple.make data [| v_int 1; v_int 2 |] ] else []
+    in
+    let config =
+      { Config.default with threads; stores = [ ("Data", Store.Custom counting) ] }
+    in
+    let r =
+      Engine.run_program ~init:(seeded @ [ Tuple.make go [| v_int 0 |] ]) p config
+    in
+    let s =
+      List.find
+        (fun s -> s.Table_stats.table = "Data")
+        (Table_stats.snapshot r.Engine.stats)
+    in
+    ( !calls,
+      Printf.sprintf
+        "puts %d delta_inserts %d delta_dups %d gamma_inserts %d gamma_dups %d"
+        s.Table_stats.n_puts s.Table_stats.n_delta_inserts
+        s.Table_stats.n_delta_dups s.Table_stats.n_gamma_inserts
+        s.Table_stats.n_gamma_dups )
+  in
+  List.iter
+    (fun threads ->
+      let at = Printf.sprintf " at %d thread(s)" threads in
+      let calls, row = run ~threads ~in_gamma:false in
+      Alcotest.(check int)
+        ("one Gamma mem for 1,000 unit-local duplicates" ^ at)
+        1 calls;
+      Alcotest.(check string) ("counters unchanged" ^ at)
+        "puts 1000 delta_inserts 1 delta_dups 999 gamma_inserts 1 \
+         gamma_dups 0"
+        row;
+      let calls, row = run ~threads ~in_gamma:true in
+      Alcotest.(check int)
+        ("control: a Gamma duplicate probes Gamma every put" ^ at)
+        1000 calls;
+      Alcotest.(check string) ("control counters" ^ at)
+        "puts 1001 delta_inserts 1 delta_dups 0 gamma_inserts 1 \
+         gamma_dups 1000"
+        row)
+    [ 1; 2 ]
+
 let test_engine_query_past () =
   (* SumMonth-style: a later-ordered tuple aggregates earlier tuples. *)
   let p = Program.create () in
@@ -1048,6 +1158,7 @@ let suite =
         tc "arity and types" `Quick test_tuple_arity_and_types;
         tc "primary key" `Quick test_tuple_key;
         tc "prefix match" `Quick test_tuple_prefix;
+        tc "dedup set grows in place" `Quick test_tuple_dset_growth;
       ] );
     ( "core.timestamp",
       [
@@ -1097,6 +1208,8 @@ let suite =
         tc "divergent rule hits step limit" `Quick
           test_engine_unconditional_rule_diverges;
         tc "set semantics dedup" `Quick test_engine_set_semantics;
+        tc "unit-local dedup before the Gamma probe" `Quick
+          test_engine_dedup_before_gamma;
         tc "aggregate over the past" `Quick test_engine_query_past;
         tc "-noDelta bypass" `Quick test_engine_no_delta;
         tc "-noGamma trigger-only" `Quick test_engine_no_gamma;

@@ -504,47 +504,75 @@ let test_outputs_digest_threads () =
     (other = fst (List.hd digests))
 
 (* ------------------------------------------------------------------ *)
-(* Provenance off: the duplicate-put hot path still allocates nothing *)
+(* Provenance off: the duplicate-put hot path still allocates nothing,
+   for the tuple in Gamma itself, a fresh tuple equal to it, and a tuple
+   already pending from the same firing *)
 
 let test_put_path_zero_alloc_prov_off () =
-  let p = Program.create () in
-  let data =
-    Program.table p "Data"
-      ~columns:Schema.[ int_col "a"; int_col "b" ]
-      ~orderby:Schema.[ Lit "A" ]
-      ()
+  let run data_structures =
+    let p = Program.create () in
+    let data =
+      Program.table p "Data"
+        ~columns:Schema.[ int_col "a"; int_col "b" ]
+        ~orderby:Schema.[ Lit "A" ]
+        ()
+    in
+    let go =
+      Program.table p "Go"
+        ~columns:Schema.[ int_col "x" ]
+        ~orderby:Schema.[ Lit "B" ]
+        ()
+    in
+    Program.order p [ "A"; "B" ];
+    let dup = Tuple.make data [| v_int 1; v_int 2 |] in
+    let twin = Tuple.make data [| v_int 1; v_int 2 |] in
+    let pending = Tuple.make data [| v_int 3; v_int 4 |] in
+    let baseline = ref 0.0 and puts = ref [] in
+    let minor_delta f =
+      let before = Gc.minor_words () in
+      f ();
+      Gc.minor_words () -. before
+    in
+    Program.rule p "measure" ~trigger:go (fun ctx _ ->
+        baseline :=
+          minor_delta (fun () ->
+              for _ = 1 to 10_000 do
+                ignore (Sys.opaque_identity dup)
+              done);
+        ctx.Rule.put pending;
+        puts :=
+          List.map
+            (fun (name, t) ->
+              ( name,
+                minor_delta (fun () ->
+                    for _ = 1 to 10_000 do
+                      ignore (Sys.opaque_identity t);
+                      ctx.Rule.put t
+                    done) ))
+            [
+              ("same tuple", dup);
+              ("equal twin", twin);
+              ("unit-pending", pending);
+            ]);
+    let init = [ dup; Tuple.make go [| v_int 0 |] ] in
+    (* provenance, audit and digest at their defaults: off *)
+    ignore
+      (Engine.run_program ~init p
+         { Config.default with Config.data_structures });
+    (!baseline, !puts)
   in
-  let go =
-    Program.table p "Go"
-      ~columns:Schema.[ int_col "x" ]
-      ~orderby:Schema.[ Lit "B" ]
-      ()
-  in
-  Program.order p [ "A"; "B" ];
-  let dup = Tuple.make data [| v_int 1; v_int 2 |] in
-  let baseline = ref 0.0 and puts = ref 0.0 in
-  let minor_delta f =
-    let before = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. before
-  in
-  Program.rule p "measure" ~trigger:go (fun ctx _ ->
-      baseline :=
-        minor_delta (fun () ->
-            for _ = 1 to 10_000 do
-              ignore (Sys.opaque_identity dup)
-            done);
-      puts :=
-        minor_delta (fun () ->
-            for _ = 1 to 10_000 do
-              ignore (Sys.opaque_identity dup);
-              ctx.Rule.put dup
-            done));
-  let init = [ dup; Tuple.make go [| v_int 0 |] ] in
-  (* all PR-4 knobs at their defaults: provenance, audit and digest off *)
-  ignore (Engine.run_program ~init p Config.default);
-  Alcotest.(check (float 0.0))
-    "duplicate put allocates nothing with provenance off" !baseline !puts
+  List.iter
+    (fun (name, ds) ->
+      let baseline, puts = run ds in
+      List.iter
+        (fun (input, words) ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf
+               "duplicate put allocates nothing with provenance off, %s, %s"
+               name input)
+            baseline words)
+        puts)
+    [ ("Auto", Config.Auto); ("Concurrent_ds", Config.Concurrent_ds) ]
 
 (* ------------------------------------------------------------------ *)
 (* Config validation *)

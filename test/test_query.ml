@@ -178,9 +178,12 @@ let test_config_validation () =
 (* ------------------------------------------------------------------ *)
 (* The put path must not allocate.  Duplicate puts of a
    const-timestamp table walk the whole hot path (stats, timestamp
-   memo, Gamma mem probe) and must cost the same minor words as an
-   identically-shaped empty loop — on the sequential Gamma (tree) and
-   on the concurrent one (skip list) alike. *)
+   memo, unit-local dedup, Gamma mem probe) and must cost the same
+   minor words as an identically-shaped empty loop — on the sequential
+   Gamma (tree) and on the concurrent one (skip list) alike.  Three
+   duplicates: the very tuple in Gamma, a fresh tuple equal to it (so
+   the store's comparator runs past its physical-equality shortcut),
+   and a tuple already put by the same firing (pending in the unit). *)
 
 let put_path_minor_words data_structures =
   let p = Program.create () in
@@ -198,7 +201,9 @@ let put_path_minor_words data_structures =
   in
   Program.order p [ "A"; "B" ];
   let dup = Tuple.make data [| v_int 1; v_int 2 |] in
-  let baseline = ref 0.0 and puts = ref 0.0 in
+  let twin = Tuple.make data [| v_int 1; v_int 2 |] in
+  let pending = Tuple.make data [| v_int 3; v_int 4 |] in
+  let baseline = ref 0.0 and puts = ref [] in
   let minor_delta f =
     let before = Gc.minor_words () in
     f ();
@@ -210,12 +215,21 @@ let put_path_minor_words data_structures =
             for _ = 1 to 10_000 do
               ignore (Sys.opaque_identity dup)
             done);
+      ctx.Rule.put pending;
       puts :=
-        minor_delta (fun () ->
-            for _ = 1 to 10_000 do
-              ignore (Sys.opaque_identity dup);
-              ctx.Rule.put dup
-            done));
+        List.map
+          (fun (name, t) ->
+            ( name,
+              minor_delta (fun () ->
+                  for _ = 1 to 10_000 do
+                    ignore (Sys.opaque_identity t);
+                    ctx.Rule.put t
+                  done) ))
+          [
+            ("same tuple", dup);
+            ("equal twin", twin);
+            ("unit-pending", pending);
+          ]);
   let init = [ dup; Tuple.make go [| v_int 0 |] ] in
   ignore
     (Engine.run_program ~init p { Config.default with Config.data_structures });
@@ -225,9 +239,12 @@ let test_put_path_zero_alloc_when_off () =
   List.iter
     (fun (name, ds) ->
       let baseline, puts = put_path_minor_words ds in
-      Alcotest.(check (float 0.0))
-        ("duplicate put allocates nothing, " ^ name)
-        baseline puts)
+      List.iter
+        (fun (input, words) ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "duplicate put allocates nothing, %s, %s" name input)
+            baseline words)
+        puts)
     [ ("Auto", Config.Auto); ("Concurrent_ds", Config.Concurrent_ds) ]
 
 (* ------------------------------------------------------------------ *)
